@@ -44,7 +44,9 @@ latency/throughput load generator.
 Exit codes: 0 success, 1 the simulated output diverged from the
 reference interpreter (the readable diff is printed), 2 the run
 exhausted its fuel (the function and instruction count are reported as
-a diagnostic, not a stack trace).
+a diagnostic, not a stack trace), 3 the source failed to lex, parse or
+lower, 4 the program faulted at run time (for example ``input()`` past
+the end of its input stream).  Codes 2–4 print one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -55,10 +57,13 @@ from typing import List, Optional, Sequence
 
 from .core import SpecConfig
 from .errors import FuelExhausted
+from .lang import LexError, LowerError, ParseError
 from .pipeline import Comparison, OutputMismatch, compile_and_run, \
     compile_program, format_table
+from .profiling import InterpError
 from .service.registry import available_configs, resolve_config
 from .ssa import SpecMode
+from .target import MachineError
 
 #: the `--spec-source` axis: where speculation flags come from
 _SPEC_SOURCES = ("heuristic", "profile", "static")
@@ -110,13 +115,6 @@ def _config_label(args: argparse.Namespace) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     source = open(args.file).read()
     config = _resolve_cli_config(args)
-    if args.dump_ir:
-        from .ir import format_module
-
-        compiled = compile_program(source, config,
-                                   train_inputs=_parse_inputs(args.train))
-        print(format_module(compiled.optimized))
-        print()
     machine_kwargs = {"engine": args.engine}
     if args.inject != "none":
         from .hazards import make_injector
@@ -124,6 +122,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         machine_kwargs["injector"] = make_injector(args.inject,
                                                    args.inject_seed)
     try:
+        if args.dump_ir:
+            from .ir import format_module
+
+            compiled = compile_program(
+                source, config, train_inputs=_parse_inputs(args.train))
+            print(format_module(compiled.optimized))
+            print()
         result = compile_and_run(
             source, config,
             train_inputs=_parse_inputs(args.train),
@@ -141,6 +146,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"likely an infinite loop in the program (or raise fuel)",
               file=sys.stderr)
         return 2
+    except (LexError, ParseError, LowerError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except (InterpError, MachineError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     for d in result.diagnostics:
         print(f"note: {d}", file=sys.stderr)
     from .pipeline import default_cache

@@ -1,13 +1,15 @@
 """Pieces shared by the three execution engines.
 
-The simulator grew engines the way real VMs do — an interpretive
-baseline (:mod:`machine_classic`), a pre-decoded dispatch loop
-(:mod:`machine`) and a hot-trace JIT (:mod:`machine_trace`) — and they
-all agree on this substrate: the NaT poison token, the machine error
-types, the pre-decoded instruction encoding and the per-function
-translation (:class:`_TFunc`).  Everything here is engine-neutral;
-anything that differs between engines (dispatch, profiling, trace
-compilation) lives in the engine modules.
+The simulator has two dispatch loops.  The interpretive loop
+(:mod:`machine_classic`) is the reference engine.  The pre-decoded
+loop (:mod:`machine`) is the fast one: it runs the predecode engine
+with tier-up off and the hot-trace JIT (:mod:`machine_trace`) with it
+on, and every trace deoptimizes back into it.  All engines agree on
+this substrate: the NaT poison token, the machine error types, the
+pre-decoded instruction encoding and the per-function translation
+(:class:`_TFunc`).  Everything here is engine-neutral; dispatch lives
+in :mod:`machine`, trace recording and compilation in
+:mod:`machine_trace`.
 
 ``machine.py`` re-exports these names unchanged, so existing imports
 (``from repro.target.machine import NAT``) keep working.
@@ -124,19 +126,19 @@ class _TFunc:
     payload slot, which lets the dispatch loop bill executed-instruction
     counts per *block* instead of per instruction.
 
-    The trailing ``tr_*`` slots are the trace engine's per-run profile
-    state (:mod:`machine_trace`); they stay ``None`` under the other
-    engines and cost nothing.
+    ``tr_tbl`` is the per-run trace table the shared dispatch loop's
+    trace hook reads, one entry per block, built on the function's
+    first call: all ``None`` under predecode (tier-up off), arrival
+    counters and compiled trace closures under the trace engine
+    (:mod:`machine_trace`).
     """
 
     __slots__ = ("name", "blocks", "nregs", "param_regs", "frame_allocs",
-                 "fs", "tr_tbl", "tr_elig", "tr_fail")
+                 "fs", "tr_tbl")
 
     def __init__(self, fn) -> None:
         self.fs = None  # this run's FnStats, bound on first call
-        self.tr_tbl = None    # trace engine: per-block counter/closure
-        self.tr_elig = None   # trace engine: block may join a trace
-        self.tr_fail = None   # trace engine: abandoned-recording counts
+        self.tr_tbl = None  # this run's trace table, built on first call
         self.name = fn.name
         self.nregs = fn.nregs
         self.param_regs = fn.param_regs

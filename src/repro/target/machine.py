@@ -35,10 +35,19 @@ source-register tuple, result latency and memory-port flag were all
 computed once per function.  ``ld.c`` carries its hit and miss stall
 sets separately: a check that rides a surviving ALAT entry binds only
 on the tag register, never on the (possibly still in flight) address
-recomputation.  The pre-PR interpretive loop survives unchanged as
-:mod:`repro.target.machine_classic` (``run_program(...,
-engine="classic")``), kept purely as the wall-clock baseline that
-``benchmarks/test_compiler_perf.py`` measures against.
+recomputation.
+
+There is one fast dispatch loop, :meth:`_Machine._call`, shared by the
+predecode and trace engines.  A hook at the top of its per-block loop
+counts block arrivals, records hot paths and dispatches compiled traces
+(:mod:`repro.target.machine_trace`); under predecode the per-function
+trace table is all ``None`` and the hook is inert, so "predecode" is
+simply "trace with tier-up off", and every trace deoptimizes into this
+same loop.  The second loop, in :mod:`repro.target.machine_classic`
+(``run_program(..., engine="classic")``), interprets without
+pre-decoding: it is the reference engine the bit-identity tests compare
+both against, and the wall-clock baseline of
+``benchmarks/test_compiler_perf.py``.
 """
 
 from __future__ import annotations
@@ -56,10 +65,27 @@ from .engine_common import (  # noqa: F401 — re-exported engine substrate
 from .isa import MProgram
 from .stats import MachineStats
 
+#: trace recording stops after this many blocks (bounds generated-code
+#: size; docs/performance.md)
+TRACE_MAX_BLOCKS = 64
+
+#: exit kinds in a trace closure's final tuple slot
+_EXIT_NORMAL = 0        # the recorded path left the trace
+_EXIT_SIDE = 1          # a guard failed: deoptimize to the dispatch loop
+_EXIT_FUEL = 2          # fuel would expire at next_block: let the
+#                         dispatch loop's own decrement raise exactly
 
 
 class _Machine:
-    """One simulation run: memory + scoreboard + counters."""
+    """One simulation run: memory + scoreboard + counters.
+
+    This is the predecode engine: the shared dispatch loop with tier-up
+    off.  :class:`~repro.target.machine_trace._TraceMachine` turns it on
+    by overriding :meth:`_init_traces`."""
+
+    #: arrivals before a block turns hot; unused while every trace-table
+    #: entry is ``None``
+    hot_threshold = 0
 
     def __init__(self, program: MProgram, inputs: Sequence[Value],
                  fuel: int, issue_width: int, mem_ports: int,
@@ -156,6 +182,17 @@ class _Machine:
             stats.fallthroughs += f.fallthroughs
         return self.stats, self.output
 
+    def _init_traces(self, fn: _TFunc) -> List[Optional[object]]:
+        """Build ``fn``'s per-block trace table on its first call.
+        Tier-up is off here: every entry is ``None``, so the dispatch
+        loop's trace hook never counts, records or dispatches."""
+        tbl: List[Optional[object]] = [None] * len(fn.blocks)
+        fn.tr_tbl = tbl
+        return tbl
+
+    # ---- the dispatch loop --------------------------------------------
+    # Shared by predecode and trace: every trace side exit and fuel exit
+    # resumes here, so this loop is also the deoptimization baseline.
     def _call(self, fn: _TFunc, args: List[Value]) -> Optional[Value]:
         if len(args) != len(fn.param_regs):
             raise MachineError(f"{fn.name}: arity mismatch")
@@ -182,6 +219,15 @@ class _Machine:
         fs = fn.fs
         if fs is None:
             fs = fn.fs = stats.fn(fn.name)
+        tr_tbl = fn.tr_tbl
+        if tr_tbl is None:
+            tr_tbl = self._init_traces(fn)
+        recording: Optional[List[int]] = None
+        rset = None
+        hot = self.hot_threshold
+        n_th = 0        # buffered stats.trace_hits
+        n_sx = 0        # buffered stats.side_exits
+        n_td = 0        # buffered stats.trace_dyn_instr
         self.cycle += self.call_overhead
         nat = NAT
         blocks = fn.blocks
@@ -209,6 +255,61 @@ class _Machine:
         n_adv = n_spec = n_replay = n_defer = 0
         n_speccheck = n_recover = n_taken = n_fall = 0
         while True:
+            # ---- trace hook: count / record / dispatch --------------
+            # Under predecode every entry is None and both tests fall
+            # through; under the trace engine an int is an arrival
+            # counter and anything else a compiled trace closure.
+            tr = tr_tbl[block_index]
+            if recording is not None:
+                if (tr is None or tr.__class__ is not int
+                        or block_index in rset
+                        or len(rset) >= TRACE_MAX_BLOCKS):
+                    self._install_trace(fn, recording, block_index)
+                    recording = None
+                    rset = None
+                    tr = tr_tbl[block_index]
+                else:
+                    recording.append(block_index)
+                    rset.add(block_index)
+            if tr is not None:
+                if tr.__class__ is int:
+                    if tr < hot:
+                        tr_tbl[block_index] = tr + 1
+                    elif recording is None:
+                        recording = [block_index]
+                        rset = {block_index}
+                        tr_tbl[block_index] = 0
+                else:
+                    c0 = cycle
+                    (block_index, cycle, slots, ports, fuel, d_i, d_da,
+                     d_pl, d_st, d_cl, d_cm, d_ad, d_sp, d_rp, d_df,
+                     d_sk, d_rc, d_tk, d_fa, d_cx, exit_kind) = tr(
+                        regs, ready, from_load, addr_of, frame,
+                        cycle, slots, ports, fuel)
+                    fs_cycles += cycle - c0 - d_cx
+                    n_instr += d_i
+                    da_cycles += d_da
+                    n_plain += d_pl
+                    n_store += d_st
+                    n_checkload += d_cl
+                    n_checkmiss += d_cm
+                    n_adv += d_ad
+                    n_spec += d_sp
+                    n_replay += d_rp
+                    n_defer += d_df
+                    n_speccheck += d_sk
+                    n_recover += d_rc
+                    n_taken += d_tk
+                    n_fall += d_fa
+                    n_th += 1
+                    n_td += d_i
+                    if exit_kind == _EXIT_NORMAL:
+                        continue
+                    if exit_kind == _EXIT_SIDE:
+                        n_sx += 1
+                        continue
+                    # _EXIT_FUEL: fall through so the loop's own
+                    # decrement performs the exact classic raise
             fuel -= 1
             if fuel <= 0:
                 fs.instructions += n_instr
@@ -903,6 +1004,13 @@ class _Machine:
                         fs.spec_checks += n_speccheck
                     if n_recover:
                         fs.spec_recoveries += n_recover
+                    # trace-engine counters: whole-run, engine-only —
+                    # they never enter the per-function slices
+                    if n_th:
+                        stats.trace_hits += n_th
+                        stats.trace_dyn_instr += n_td
+                    if n_sx:
+                        stats.side_exits += n_sx
                     return retval
                 elif code == _ALLOC:
                     src = instr[4]
@@ -1006,12 +1114,13 @@ def run_program(program: MProgram, inputs: Sequence[Value] = (),
     cache's memory latency without replacing its geometry.
 
     ``engine`` selects the dispatch implementation: ``"predecode"``
-    (the default — translation-time operand pre-decoding,
-    docs/performance.md), ``"trace"`` (the hot-trace JIT layered on
-    predecode: hot paths compile into fused closures,
-    :mod:`repro.target.machine_trace`) or ``"classic"`` (the frozen
-    pre-PR interpretive loop, kept as the wall-clock baseline the perf
-    benchmark measures against).  All three produce identical output
+    (the default — the pre-decoded dispatch loop with tier-up off,
+    docs/performance.md), ``"trace"`` (the same loop with tier-up on:
+    hot paths compile into fused closures that deoptimize back into
+    it, :mod:`repro.target.machine_trace`) or ``"classic"`` (the
+    original interpretive loop: the reference engine the bit-identity
+    tests compare against and the perf benchmark's wall-clock
+    baseline).  All three produce identical output
     and identical architectural :class:`MachineStats` on every run;
     the trace engine additionally reports its dispatch-machinery
     counters (``traces_compiled``/``trace_hits``/``side_exits``/

@@ -6,17 +6,19 @@ dynamic instruction.  This engine removes that cost on the paths that
 dominate every campaign and benchmark, the way dynamic binary
 translators (Dynamo, trace caches) do:
 
-* **Warm-up profiling.**  Execution starts in a verbatim copy of the
-  predecode dispatch loop.  Every block that could legally join a trace
-  (anything without a ``call``/``ret``) carries an arrival counter in
-  ``_TFunc.tr_tbl``; loop heads and entry blocks of hot callees cross
+* **Warm-up profiling.**  Execution starts in the one pre-decoded
+  dispatch loop (:meth:`repro.target.machine._Machine._call`), the
+  same loop predecode runs; this engine only turns its trace hook on.
+  Every block that could legally join a trace (anything without a
+  ``call``/``ret``) carries an arrival counter in ``_TFunc.tr_tbl``;
+  loop heads and entry blocks of hot callees cross
   :data:`HOT_THRESHOLD` quickly.
 * **Trace recording.**  When a head turns hot, the interpreter keeps
   executing but records the block path actually taken — the
   most-recently-executed-tail flavour of mutual-most-likely successor
   selection — until the path revisits a recorded block (a loop closed),
   reaches an ineligible or already-compiled block, or hits
-  :data:`TRACE_MAX_BLOCKS`.
+  :data:`~repro.target.machine.TRACE_MAX_BLOCKS`.
 * **Trace compilation.**  The recorded path is compiled into **one
   fused Python closure**: real generated source, ``compile()``-d and
   ``exec``-d once.  Operand register numbers, immediates, latencies,
@@ -28,7 +30,7 @@ translators (Dynamo, trace caches) do:
 * **Deoptimization.**  Conditional branches and ``chk.s`` checks guard
   the recorded direction; the untaken arm returns the full
   architectural state (next block, cycle/slots/ports, fuel, counter
-  deltas) and the generic predecode loop resumes exactly where the
+  deltas) and the shared dispatch loop resumes exactly where the
   classic engine would be — ALAT, NaT poison, cache and injector
   perturbations all flow through the *same* calls in the same order,
   which is why the engine stays bit-identical to ``machine_classic``
@@ -47,33 +49,26 @@ Dispatch-machinery counters (``traces_compiled``, ``trace_hits``,
 ``side_exits``, ``trace_dyn_instr``) are reported on
 :class:`MachineStats` but excluded from its :meth:`arch_dict` — they
 describe this engine, not the simulated architecture.
-
-The hot threshold is tunable via the ``REPRO_TRACE_HOT`` environment
-variable (docs/performance.md).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..profiling.interp import c_div, c_rem
 from .engine_common import (_ADD, _ALLOC, _BIN, _BIN_FN, _BR, _CALL,
                             _CHK, _CMPLT, _INPUT, _INPUTF, _JMP, _LD,
                             _LDA, _LDC, _LDR, _LDS, _LEA, _MOV, _MOVI,
-                            _NO_FRAME_ADDRS, _PRINT, _REM, _RET, _ST,
-                            _UN, _UN_FN, NAT, MachineError,
-                            MachineFuelExhausted, Value, _TFunc)
-from .machine import _Machine
+                            _PRINT, _REM, _RET, _ST, _UN, _UN_FN, NAT,
+                            MachineError, _TFunc)
+from .machine import _EXIT_FUEL, _EXIT_NORMAL, _EXIT_SIDE, _Machine
 
-#: arrivals at a block before it is considered a hot trace head
-HOT_THRESHOLD = int(os.environ.get("REPRO_TRACE_HOT", "16"))
-
-#: recording stops after this many blocks (bounds generated-code size)
-TRACE_MAX_BLOCKS = 64
+#: arrivals at a block before it is considered a hot trace head (read
+#: at machine construction, so tests may patch it)
+HOT_THRESHOLD = 16
 
 #: a non-looping trace shorter than this many instructions is not worth
 #: the dispatch round-trip; its head is marked never-trace instead
@@ -121,12 +116,6 @@ _COUNTERS = ("n_i", "da", "n_pl", "n_st", "n_cl", "n_cm", "n_ad",
              "n_cx")
 
 _RET_TUPLE = "cycle, slots, ports, fuel, " + ", ".join(_COUNTERS)
-
-#: exit kinds in the closure's final tuple slot
-_EXIT_NORMAL = 0        # the recorded path left the trace
-_EXIT_SIDE = 1          # a guard failed: deoptimize to the interpreter
-_EXIT_FUEL = 2          # fuel would expire at next_block: let the
-#                         interpreter's own decrement raise exactly
 
 #: opcodes a leaf callee may contain and still be inlined into a
 #: caller's trace.  ALAT-keyed ops (ld.a/ld.s/ld.r/ld.c) are out — they
@@ -1320,28 +1309,22 @@ class _TraceWriter:
 
 
 class _TraceMachine(_Machine):
-    """The trace engine: the predecode machine plus warm-up profiling,
-    trace recording and fused-closure dispatch (module docstring)."""
+    """The trace engine: the shared dispatch loop with tier-up on.  It
+    only overrides :meth:`_init_traces`, so the loop's trace hook sees
+    arrival counters and starts recording; recording installs fused
+    closures through :meth:`_install_trace` (module docstring)."""
 
-    def __init__(self, program, inputs, fuel, issue_width, mem_ports,
-                 branch_penalty, call_overhead, alat, cache,
-                 check_hit_latency, check_issue_free,
-                 injector=None) -> None:
-        super().__init__(program, inputs, fuel, issue_width, mem_ports,
-                         branch_penalty, call_overhead, alat, cache,
-                         check_hit_latency, check_issue_free, injector)
-        self._program = program
+    def __init__(self, program, *args) -> None:
+        super().__init__(program, *args)
         self.hot_threshold = HOT_THRESHOLD
-        code_cache = _CODE_CACHE.get(program)
-        if code_cache is None:
-            code_cache = _CODE_CACHE[program] = {}
-        self._code_cache = code_cache
-        self._env_key = (issue_width, mem_ports, branch_penalty,
-                         call_overhead, check_hit_latency,
-                         check_issue_free, cache.line_cells,
-                         cache._l1.nsets, cache.l1_latency,
-                         cache._l2.nsets, alat.nsets,
-                         injector is not None)
+        self._code_cache = _CODE_CACHE.setdefault(program, {})
+        cache = self.cache
+        self._env_key = (self.issue_width, self.mem_ports,
+                         self.branch_penalty, self.call_overhead,
+                         self.check_hit_latency, self.check_issue_free,
+                         cache.line_cells, cache._l1.nsets,
+                         cache.l1_latency, cache._l2.nsets,
+                         self.alat.nsets, self.injector is not None)
         self._inline_cache: Dict[str, Optional[tuple]] = {}
 
     # ---- leaf-callee analysis -----------------------------------------
@@ -1356,8 +1339,7 @@ class _TraceMachine(_Machine):
             return self._inline_cache[name]
         except KeyError:
             pass
-        funcs_get = self._env[13]
-        fn = funcs_get(name)
+        fn = self.funcs.get(name)
         info = None
         if fn is not None and not fn.frame_allocs:
             path: List[int] = []
@@ -1397,7 +1379,7 @@ class _TraceMachine(_Machine):
         return info
 
     # ---- trace management ---------------------------------------------
-    def _init_traces(self, fn: _TFunc) -> List[Optional[int]]:
+    def _init_traces(self, fn: _TFunc) -> List[Optional[object]]:
         """Build the per-block table on a function's first call: ``0``
         (an arrival counter) for every block that may join a trace,
         ``None`` for blocks that never can.  Returns need the
@@ -1406,7 +1388,7 @@ class _TraceMachine(_Machine):
         (:meth:`_inline_of`) with matching arity and a compatible
         return, in which case the block stays traceable and the
         writer expands the callee in place."""
-        tbl: List[Optional[int]] = []
+        tbl: List[Optional[object]] = []
         for block in fn.blocks:
             ok = True
             for instr in block:
@@ -1428,8 +1410,6 @@ class _TraceMachine(_Machine):
                         break
             tbl.append(0 if ok else None)
         fn.tr_tbl = tbl
-        fn.tr_elig = sum(1 for e in tbl if e is not None)
-        fn.tr_fail = 0
         return tbl
 
     def _trace_globals(self, consts: List[object],
@@ -1473,7 +1453,7 @@ class _TraceMachine(_Machine):
         """Compile the recorded path into a fused closure and publish
         it at the trace head.  Non-looping scraps below
         :data:`MIN_TRACE_INSTRS` are not worth the dispatch round-trip;
-        their head is retired instead (counted in ``tr_fail``).
+        their head is retired instead.
 
         Codegen is the expensive step, so the per-program cache stores
         the compiled code object (plus the per-site constants its
@@ -1484,7 +1464,6 @@ class _TraceMachine(_Machine):
             total = sum(len(fn.blocks[bi]) for bi in seq)
             if total < MIN_TRACE_INSTRS:
                 fn.tr_tbl[head] = None
-                fn.tr_fail += 1
                 return
         key = (fn.name, tuple(seq), exit_block, self._env_key)
         cached = self._code_cache.get(key)
@@ -1498,855 +1477,3 @@ class _TraceMachine(_Machine):
         exec(cached[0], namespace)
         fn.tr_tbl[head] = namespace["_trace"]
         self.stats.traces_compiled += 1
-
-    # ---- the dispatch loop --------------------------------------------
-    #
-    # A verbatim copy of the predecode engine's ``_Machine._call`` with
-    # one insertion at the top of the per-block loop: the trace hook
-    # (count / record / dispatch).  Everything below the hook must stay
-    # line-for-line identical to machine.py — a behavioural fix to one
-    # loop must land in both (the engine bit-identity tests will catch
-    # a divergence, but keep them in sync by construction).
-    def _call(self, fn: _TFunc, args: List[Value]) -> Optional[Value]:
-        if len(args) != len(fn.param_regs):
-            raise MachineError(f"{fn.name}: arity mismatch")
-        self._frame_serial += 1
-        frame = self._frame_serial
-        regs: List[Value] = [0] * fn.nregs
-        ready = [0] * fn.nregs
-        from_load = [False] * fn.nregs
-        for reg, value in zip(fn.param_regs, args):
-            regs[reg] = value
-        if fn.frame_allocs:
-            addr_of: Dict[object, int] = {}
-            for sym, cells in fn.frame_allocs:
-                addr_of[sym] = self._allocate(cells)
-        else:
-            addr_of = _NO_FRAME_ADDRS
-
-        (stats, memory, mem_get, alat, alat_peek, alat_check, alat_arm,
-         alat_invalidate, alat_disarm, cache, cache_load, cache_store,
-         injector, funcs_get, global_addr, issue_width, mem_ports,
-         branch_penalty, check_hit_latency, check_issue_free, line_cells,
-         l1_sets, l1_nsets, l1_latency, l2_sets, l2_nsets, al_sets,
-         al_nsets) = self._env
-        fs = fn.fs
-        if fs is None:
-            fs = fn.fs = stats.fn(fn.name)
-        tr_tbl = fn.tr_tbl
-        if tr_tbl is None:
-            tr_tbl = self._init_traces(fn)
-        recording: Optional[List[int]] = None
-        rset = None
-        hot = self.hot_threshold
-        n_th = 0        # buffered stats.trace_hits
-        n_sx = 0        # buffered stats.side_exits
-        n_td = 0        # buffered stats.trace_dyn_instr
-        self.cycle += self.call_overhead
-        nat = NAT
-        blocks = fn.blocks
-        block_index = 0
-        cycle = self.cycle
-        slots = self.slots
-        ports = self.ports
-        fuel = self.fuel
-        n_instr = 0
-        da_cycles = 0
-        fs_cycles = 0
-        n_plain = n_store = n_checkload = n_checkmiss = 0
-        n_adv = n_spec = n_replay = n_defer = 0
-        n_speccheck = n_recover = n_taken = n_fall = 0
-        while True:
-            # ---- trace hook (the only delta vs machine.py) ----------
-            tr = tr_tbl[block_index]
-            if recording is not None:
-                if (tr is None or tr.__class__ is not int
-                        or block_index in rset
-                        or len(rset) >= TRACE_MAX_BLOCKS):
-                    self._install_trace(fn, recording, block_index)
-                    recording = None
-                    rset = None
-                    tr = tr_tbl[block_index]
-                else:
-                    recording.append(block_index)
-                    rset.add(block_index)
-            if tr is not None:
-                if tr.__class__ is int:
-                    if tr < hot:
-                        tr_tbl[block_index] = tr + 1
-                    elif recording is None:
-                        recording = [block_index]
-                        rset = {block_index}
-                        tr_tbl[block_index] = 0
-                else:
-                    c0 = cycle
-                    (block_index, cycle, slots, ports, fuel, d_i, d_da,
-                     d_pl, d_st, d_cl, d_cm, d_ad, d_sp, d_rp, d_df,
-                     d_sk, d_rc, d_tk, d_fa, d_cx, exit_kind) = tr(
-                        regs, ready, from_load, addr_of, frame,
-                        cycle, slots, ports, fuel)
-                    fs_cycles += cycle - c0 - d_cx
-                    n_instr += d_i
-                    da_cycles += d_da
-                    n_plain += d_pl
-                    n_store += d_st
-                    n_checkload += d_cl
-                    n_checkmiss += d_cm
-                    n_adv += d_ad
-                    n_spec += d_sp
-                    n_replay += d_rp
-                    n_defer += d_df
-                    n_speccheck += d_sk
-                    n_recover += d_rc
-                    n_taken += d_tk
-                    n_fall += d_fa
-                    n_th += 1
-                    n_td += d_i
-                    if exit_kind == _EXIT_NORMAL:
-                        continue
-                    if exit_kind == _EXIT_SIDE:
-                        n_sx += 1
-                        continue
-                    # _EXIT_FUEL: fall through so the interpreter's own
-                    # decrement performs the exact classic raise
-            # ---- end trace hook; below matches machine.py -----------
-            fuel -= 1
-            if fuel <= 0:
-                fs.instructions += n_instr
-                raise MachineFuelExhausted(
-                    fn.name, f"#{block_index}",
-                    sum(f.instructions for f in stats.fn_stats.values()))
-            entered_at = cycle
-            for instr in blocks[block_index]:
-                code = instr[0]
-                if code == _ADD:
-                    sa = instr[4]
-                    sb = instr[5]
-                    t = ready[sa]
-                    binding = sa
-                    r = ready[sb]
-                    if r > t:
-                        t = r
-                        binding = sb
-                    if t > cycle:
-                        if from_load[binding]:
-                            da_cycles += t - cycle
-                        cycle = t
-                        slots = 1
-                        ports = 0
-                    elif slots >= issue_width:
-                        cycle += 1
-                        slots = 1
-                        ports = 0
-                    else:
-                        slots += 1
-                    a = regs[sa]
-                    b = regs[sb]
-                    dest = instr[3]
-                    if a is nat or b is nat:
-                        regs[dest] = nat
-                    else:
-                        regs[dest] = a + b
-                    ready[dest] = cycle + 1
-                    from_load[dest] = False
-                elif code == _BIN:
-                    sa = instr[5]
-                    sb = instr[6]
-                    t = ready[sa]
-                    binding = sa
-                    r = ready[sb]
-                    if r > t:
-                        t = r
-                        binding = sb
-                    if t > cycle:
-                        if from_load[binding]:
-                            da_cycles += t - cycle
-                        cycle = t
-                        slots = 1
-                        ports = 0
-                    elif slots >= issue_width:
-                        cycle += 1
-                        slots = 1
-                        ports = 0
-                    else:
-                        slots += 1
-                    a = regs[sa]
-                    b = regs[sb]
-                    dest = instr[3]
-                    if a is nat or b is nat:
-                        regs[dest] = nat
-                    else:
-                        regs[dest] = instr[4](a, b)
-                    ready[dest] = cycle + instr[7]
-                    from_load[dest] = False
-                elif code == _CMPLT:
-                    sa = instr[4]
-                    sb = instr[5]
-                    t = ready[sa]
-                    binding = sa
-                    r = ready[sb]
-                    if r > t:
-                        t = r
-                        binding = sb
-                    if t > cycle:
-                        if from_load[binding]:
-                            da_cycles += t - cycle
-                        cycle = t
-                        slots = 1
-                        ports = 0
-                    elif slots >= issue_width:
-                        cycle += 1
-                        slots = 1
-                        ports = 0
-                    else:
-                        slots += 1
-                    a = regs[sa]
-                    b = regs[sb]
-                    dest = instr[3]
-                    if a is nat or b is nat:
-                        regs[dest] = nat
-                    else:
-                        regs[dest] = int(a < b)
-                    ready[dest] = cycle + 1
-                    from_load[dest] = False
-                elif code == _MOV:
-                    src = instr[4]
-                    t = ready[src]
-                    if t > cycle:
-                        if from_load[src]:
-                            da_cycles += t - cycle
-                        cycle = t
-                        slots = 1
-                        ports = 0
-                    elif slots >= issue_width:
-                        cycle += 1
-                        slots = 1
-                        ports = 0
-                    else:
-                        slots += 1
-                    dest = instr[3]
-                    regs[dest] = regs[src]
-                    ready[dest] = cycle + 1
-                    from_load[dest] = False
-                elif code == _MOVI:
-                    if slots >= issue_width:
-                        cycle += 1
-                        slots = 1
-                        ports = 0
-                    else:
-                        slots += 1
-                    dest = instr[3]
-                    regs[dest] = instr[4]
-                    ready[dest] = cycle + 1
-                    from_load[dest] = False
-                elif code == _LD:
-                    src = instr[4]
-                    t = ready[src]
-                    if t > cycle:
-                        if from_load[src]:
-                            da_cycles += t - cycle
-                        cycle = t
-                        slots = 1
-                        ports = 1
-                    elif slots >= issue_width or ports >= mem_ports:
-                        cycle += 1
-                        slots = 1
-                        ports = 1
-                    else:
-                        slots += 1
-                        ports += 1
-                    a = regs[src]
-                    if a is nat:
-                        raise MachineError(
-                            "load address is NaT (unchecked speculative "
-                            "value reached a non-speculative load)")
-                    addr = int(a)
-                    dest = instr[3]
-                    try:
-                        regs[dest] = memory[addr]
-                    except KeyError:
-                        raise MachineError(
-                            f"load from unallocated address {addr}"
-                        ) from None
-                    if instr[5]:
-                        ready[dest] = cycle + cache_load(addr, True)
-                    else:
-                        line = addr // line_cells
-                        l1e = l1_sets.get(line % l1_nsets)
-                        if l1e is not None and line in l1e:
-                            l1e.move_to_end(line)
-                            cache.l1_hits += 1
-                            ready[dest] = cycle + l1_latency
-                        else:
-                            ready[dest] = cycle + cache_load(addr, False)
-                    from_load[dest] = True
-                    n_plain += 1
-                elif code == _BR:
-                    src = instr[3]
-                    t = ready[src]
-                    if t > cycle:
-                        if from_load[src]:
-                            da_cycles += t - cycle
-                        cycle = t
-                        slots = 1
-                        ports = 0
-                    elif slots >= issue_width:
-                        cycle += 1
-                        slots = 1
-                        ports = 0
-                    else:
-                        slots += 1
-                    cond = regs[src]
-                    if cond is nat:
-                        raise MachineError(
-                            "branch condition is NaT (unchecked "
-                            "speculative value reached control flow)")
-                    if cond:
-                        block_index, taken = instr[4], instr[6]
-                    else:
-                        block_index, taken = instr[5], instr[7]
-                    if taken:
-                        n_taken += 1
-                        cycle += 1 + branch_penalty
-                        slots = 0
-                        ports = 0
-                    else:
-                        n_fall += 1
-                    n_instr += instr[8]
-                    break
-                elif code == _JMP:
-                    if slots >= issue_width:
-                        cycle += 1
-                        slots = 1
-                        ports = 0
-                    else:
-                        slots += 1
-                    block_index = instr[3]
-                    if instr[4]:
-                        n_taken += 1
-                        cycle += 1 + branch_penalty
-                        slots = 0
-                        ports = 0
-                    else:
-                        n_fall += 1
-                    n_instr += instr[5]
-                    break
-                elif code == _ST:
-                    sa = instr[3]
-                    sb = instr[4]
-                    t = ready[sa]
-                    binding = sa
-                    r = ready[sb]
-                    if r > t:
-                        t = r
-                        binding = sb
-                    if t > cycle:
-                        if from_load[binding]:
-                            da_cycles += t - cycle
-                        cycle = t
-                        slots = 1
-                        ports = 1
-                    elif slots >= issue_width or ports >= mem_ports:
-                        cycle += 1
-                        slots = 1
-                        ports = 1
-                    else:
-                        slots += 1
-                        ports += 1
-                    a = regs[sa]
-                    value = regs[sb]
-                    if a is nat or value is nat:
-                        raise MachineError(
-                            "store consumed NaT (unchecked speculative "
-                            "value reached memory)")
-                    addr = int(a)
-                    if addr not in memory:
-                        raise MachineError(
-                            f"store to unallocated address {addr}")
-                    if instr[5]:
-                        value = float(value)
-                    memory[addr] = value
-                    if al_sets.get(addr % al_nsets):
-                        alat_invalidate(addr)
-                    if instr[6]:
-                        cache_store(addr, True)
-                    else:
-                        line = addr // line_cells
-                        l2e = l2_sets.get(line % l2_nsets)
-                        l1e = l1_sets.get(line % l1_nsets)
-                        if (l2e is not None and line in l2e
-                                and l1e is not None and line in l1e):
-                            l2e.move_to_end(line)
-                            l1e.move_to_end(line)
-                        else:
-                            cache_store(addr, False)
-                    n_store += 1
-                    if injector is not None:
-                        injector.after_store(alat, cache)
-                elif code == _REM:
-                    sa = instr[4]
-                    sb = instr[5]
-                    t = ready[sa]
-                    binding = sa
-                    r = ready[sb]
-                    if r > t:
-                        t = r
-                        binding = sb
-                    if t > cycle:
-                        if from_load[binding]:
-                            da_cycles += t - cycle
-                        cycle = t
-                        slots = 1
-                        ports = 0
-                    elif slots >= issue_width:
-                        cycle += 1
-                        slots = 1
-                        ports = 0
-                    else:
-                        slots += 1
-                    a = regs[sa]
-                    b = regs[sb]
-                    dest = instr[3]
-                    if a is nat or b is nat:
-                        regs[dest] = nat
-                    elif type(a) is int and type(b) is int and b:
-                        q = abs(a) // abs(b)
-                        regs[dest] = a - (q if (a >= 0) == (b >= 0)
-                                          else -q) * b
-                    else:
-                        regs[dest] = c_rem(a, b)
-                    ready[dest] = cycle + instr[6]
-                    from_load[dest] = False
-                elif code == _LDC:
-                    dest = instr[3]
-                    a = regs[instr[4]]
-                    if a is nat:
-                        raise MachineError(
-                            "check-load address is NaT (unchecked "
-                            "speculative value)")
-                    addr = int(a)
-                    hit = alat_check(dest, addr, frame)
-                    if hit:
-                        t = ready[dest]
-                        binding = dest
-                    else:
-                        src = instr[4]
-                        t = ready[src]
-                        binding = src
-                        r = ready[dest]
-                        if r > t:
-                            t = r
-                            binding = dest
-                    if t > cycle:
-                        if from_load[binding]:
-                            da_cycles += t - cycle
-                        cycle = t
-                        slots = 0
-                        ports = 0
-                    if not check_issue_free:
-                        if slots >= issue_width or ports >= mem_ports:
-                            cycle += 1
-                            slots = 1
-                            ports = 1
-                        else:
-                            slots += 1
-                            ports += 1
-                    n_checkload += 1
-                    if hit:
-                        ready[dest] = cycle + check_hit_latency
-                        from_load[dest] = False
-                    else:
-                        try:
-                            regs[dest] = memory[addr]
-                        except KeyError:
-                            raise MachineError(
-                                f"check load from unallocated address "
-                                f"{addr}") from None
-                        alat_arm(dest, addr, frame)
-                        if instr[5]:
-                            ready[dest] = cycle + cache_load(addr, True)
-                        else:
-                            line = addr // line_cells
-                            l1e = l1_sets.get(line % l1_nsets)
-                            if l1e is not None and line in l1e:
-                                l1e.move_to_end(line)
-                                cache.l1_hits += 1
-                                ready[dest] = cycle + l1_latency
-                            else:
-                                ready[dest] = cycle + cache_load(
-                                    addr, False)
-                        from_load[dest] = True
-                        n_checkmiss += 1
-                elif code == _LDA:
-                    src = instr[4]
-                    t = ready[src]
-                    if t > cycle:
-                        if from_load[src]:
-                            da_cycles += t - cycle
-                        cycle = t
-                        slots = 1
-                        ports = 1
-                    elif slots >= issue_width or ports >= mem_ports:
-                        cycle += 1
-                        slots = 1
-                        ports = 1
-                    else:
-                        slots += 1
-                        ports += 1
-                    dest = instr[3]
-                    a = regs[src]
-                    if a is nat:
-                        regs[dest] = nat
-                        alat_disarm(dest, frame)
-                        ready[dest] = cycle + 1
-                    else:
-                        addr = int(a)
-                        value = mem_get(addr)
-                        if value is None:
-                            regs[dest] = nat
-                            alat_disarm(dest, frame)
-                            n_defer += 1
-                        else:
-                            regs[dest] = value
-                            alat_arm(dest, addr, frame)
-                        if instr[5]:
-                            ready[dest] = cycle + cache_load(addr, True)
-                        else:
-                            line = addr // line_cells
-                            l1e = l1_sets.get(line % l1_nsets)
-                            if l1e is not None and line in l1e:
-                                l1e.move_to_end(line)
-                                cache.l1_hits += 1
-                                ready[dest] = cycle + l1_latency
-                            else:
-                                ready[dest] = cycle + cache_load(
-                                    addr, False)
-                    from_load[dest] = True
-                    n_adv += 1
-                elif code == _LDS:
-                    src = instr[4]
-                    t = ready[src]
-                    if t > cycle:
-                        if from_load[src]:
-                            da_cycles += t - cycle
-                        cycle = t
-                        slots = 1
-                        ports = 1
-                    elif slots >= issue_width or ports >= mem_ports:
-                        cycle += 1
-                        slots = 1
-                        ports = 1
-                    else:
-                        slots += 1
-                        ports += 1
-                    dest = instr[3]
-                    a = regs[src]
-                    if a is nat:
-                        regs[dest] = nat
-                        ready[dest] = cycle + 1
-                    else:
-                        addr = int(a)
-                        value = mem_get(addr)
-                        if value is None or (
-                                injector is not None
-                                and injector.poison_load("ld.s", addr)):
-                            regs[dest] = nat
-                            n_defer += 1
-                        else:
-                            regs[dest] = value
-                        if instr[5]:
-                            ready[dest] = cycle + cache_load(addr, True)
-                        else:
-                            line = addr // line_cells
-                            l1e = l1_sets.get(line % l1_nsets)
-                            if l1e is not None and line in l1e:
-                                l1e.move_to_end(line)
-                                cache.l1_hits += 1
-                                ready[dest] = cycle + l1_latency
-                            else:
-                                ready[dest] = cycle + cache_load(
-                                    addr, False)
-                    from_load[dest] = True
-                    n_spec += 1
-                elif code == _LDR:
-                    src = instr[4]
-                    t = ready[src]
-                    if t > cycle:
-                        if from_load[src]:
-                            da_cycles += t - cycle
-                        cycle = t
-                        slots = 1
-                        ports = 1
-                    elif slots >= issue_width or ports >= mem_ports:
-                        cycle += 1
-                        slots = 1
-                        ports = 1
-                    else:
-                        slots += 1
-                        ports += 1
-                    a = regs[src]
-                    if a is nat:
-                        raise MachineError(
-                            "ld.r address is NaT (recovery block did not "
-                            "replay the address chain)")
-                    addr = int(a)
-                    dest = instr[3]
-                    regs[dest] = mem_get(addr, 0)
-                    if instr[5]:
-                        ready[dest] = cycle + cache_load(addr, True)
-                    else:
-                        line = addr // line_cells
-                        l1e = l1_sets.get(line % l1_nsets)
-                        if l1e is not None and line in l1e:
-                            l1e.move_to_end(line)
-                            cache.l1_hits += 1
-                            ready[dest] = cycle + l1_latency
-                        else:
-                            ready[dest] = cycle + cache_load(addr, False)
-                    from_load[dest] = True
-                    n_replay += 1
-                elif code == _CHK:
-                    src = instr[3]
-                    t = ready[src]
-                    if t > cycle:
-                        if from_load[src]:
-                            da_cycles += t - cycle
-                        cycle = t
-                        slots = 1
-                        ports = 0
-                    elif slots >= issue_width:
-                        cycle += 1
-                        slots = 1
-                        ports = 0
-                    else:
-                        slots += 1
-                    n_speccheck += 1
-                    if regs[src] is nat:
-                        n_recover += 1
-                        block_index, taken = instr[5], instr[7]
-                    else:
-                        block_index, taken = instr[4], instr[6]
-                    if taken:
-                        n_taken += 1
-                        cycle += 1 + branch_penalty
-                        slots = 0
-                        ports = 0
-                    else:
-                        n_fall += 1
-                    n_instr += instr[8]
-                    break
-                elif code == _LEA:
-                    if slots >= issue_width:
-                        cycle += 1
-                        slots = 1
-                        ports = 0
-                    else:
-                        slots += 1
-                    dest = instr[3]
-                    regs[dest] = global_addr[instr[4]] if instr[5] \
-                        else addr_of[instr[4]]
-                    ready[dest] = cycle + 1
-                    from_load[dest] = False
-                elif code == _UN:
-                    src = instr[5]
-                    t = ready[src]
-                    if t > cycle:
-                        if from_load[src]:
-                            da_cycles += t - cycle
-                        cycle = t
-                        slots = 1
-                        ports = 0
-                    elif slots >= issue_width:
-                        cycle += 1
-                        slots = 1
-                        ports = 0
-                    else:
-                        slots += 1
-                    dest = instr[3]
-                    a = regs[src]
-                    regs[dest] = nat if a is nat else instr[4](a)
-                    ready[dest] = cycle + 1
-                    from_load[dest] = False
-                elif code == _CALL:
-                    t = cycle
-                    binding = False
-                    for src in instr[1]:
-                        r = ready[src]
-                        if r > t:
-                            t = r
-                            binding = from_load[src]
-                    if t > cycle:
-                        if binding:
-                            da_cycles += t - cycle
-                        cycle = t
-                        slots = 1
-                        ports = 0
-                    elif slots >= issue_width:
-                        cycle += 1
-                        slots = 1
-                        ports = 0
-                    else:
-                        slots += 1
-                    callee = funcs_get(instr[4])
-                    if callee is None:
-                        raise MachineError(f"call to unknown function "
-                                           f"{instr[4]!r}")
-                    fs.instructions += n_instr + instr[5]
-                    n_instr = -instr[5]
-                    self.cycle = cycle
-                    self.slots = slots
-                    self.ports = ports
-                    self.fuel = fuel
-                    result = self._call(callee,
-                                        [regs[s] for s in instr[1]])
-                    cycle = self.cycle
-                    slots = self.slots
-                    ports = self.ports
-                    fuel = self.fuel
-                    dest = instr[3]
-                    if dest is not None:
-                        if result is None:
-                            raise MachineError(
-                                f"void result of {instr[4]} used")
-                        regs[dest] = result
-                        ready[dest] = cycle
-                        from_load[dest] = False
-                    entered_at = cycle
-                elif code == _RET:
-                    src = instr[3]
-                    if src is not None:
-                        t = ready[src]
-                        if t > cycle:
-                            if from_load[src]:
-                                da_cycles += t - cycle
-                            cycle = t
-                            slots = 1
-                            ports = 0
-                        elif slots >= issue_width:
-                            cycle += 1
-                            slots = 1
-                            ports = 0
-                        else:
-                            slots += 1
-                        retval: Optional[Value] = regs[src]
-                    else:
-                        if slots >= issue_width:
-                            cycle += 1
-                            slots = 1
-                            ports = 0
-                        else:
-                            slots += 1
-                        retval = None
-                    n_instr += instr[4]
-                    fs_cycles += cycle - entered_at
-                    cycle += self.call_overhead
-                    self.cycle = cycle
-                    self.slots = slots
-                    self.ports = ports
-                    self.fuel = fuel
-                    fs.instructions += n_instr
-                    stats.data_access_cycles += da_cycles
-                    fs.cycles += fs_cycles
-                    if n_taken:
-                        fs.taken_branches += n_taken
-                    if n_fall:
-                        fs.fallthroughs += n_fall
-                    if n_plain:
-                        fs.plain_loads += n_plain
-                    if n_store:
-                        fs.stores += n_store
-                    if n_checkload:
-                        fs.check_loads += n_checkload
-                    if n_checkmiss:
-                        fs.check_misses += n_checkmiss
-                    if n_adv:
-                        fs.advanced_loads += n_adv
-                    if n_spec:
-                        fs.spec_loads += n_spec
-                    if n_replay:
-                        fs.replay_loads += n_replay
-                    if n_defer:
-                        fs.deferred_faults += n_defer
-                    if n_speccheck:
-                        fs.spec_checks += n_speccheck
-                    if n_recover:
-                        fs.spec_recoveries += n_recover
-                    # trace-engine counters: whole-run, engine-only —
-                    # they never enter the per-function slices
-                    if n_th:
-                        stats.trace_hits += n_th
-                        stats.trace_dyn_instr += n_td
-                    if n_sx:
-                        stats.side_exits += n_sx
-                    return retval
-                elif code == _ALLOC:
-                    src = instr[4]
-                    t = ready[src]
-                    if t > cycle:
-                        if from_load[src]:
-                            da_cycles += t - cycle
-                        cycle = t
-                        slots = 1
-                        ports = 0
-                    elif slots >= issue_width:
-                        cycle += 1
-                        slots = 1
-                        ports = 0
-                    else:
-                        slots += 1
-                    a = regs[src]
-                    if a is nat:
-                        raise MachineError(
-                            "alloc size is NaT (unchecked speculative "
-                            "value)")
-                    dest = instr[3]
-                    regs[dest] = self._allocate(int(a))
-                    ready[dest] = cycle + 1
-                    from_load[dest] = False
-                elif code == _PRINT:
-                    t = cycle
-                    binding = False
-                    for src in instr[1]:
-                        r = ready[src]
-                        if r > t:
-                            t = r
-                            binding = from_load[src]
-                    if t > cycle:
-                        if binding:
-                            da_cycles += t - cycle
-                        cycle = t
-                        slots = 1
-                        ports = 0
-                    elif slots >= issue_width:
-                        cycle += 1
-                        slots = 1
-                        ports = 0
-                    else:
-                        slots += 1
-                    parts = []
-                    for src in instr[1]:
-                        value = regs[src]
-                        if value is nat:
-                            raise MachineError(
-                                "print consumed NaT (unchecked "
-                                "speculative value reached output)")
-                        parts.append(f"{value:.6g}"
-                                     if isinstance(value, float)
-                                     else str(value))
-                    self.output.append(" ".join(parts))
-                else:   # _INPUT / _INPUTF
-                    if slots >= issue_width:
-                        cycle += 1
-                        slots = 1
-                        ports = 0
-                    else:
-                        slots += 1
-                    dest = instr[3]
-                    value = self._next_input()
-                    regs[dest] = float(value) if code == _INPUTF \
-                        else int(value)
-                    ready[dest] = cycle + 1
-                    from_load[dest] = False
-            else:
-                raise MachineError(f"{fn.name}: block without terminator")
-            fs_cycles += cycle - entered_at

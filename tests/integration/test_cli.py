@@ -180,6 +180,29 @@ def test_fuel_exhaustion_exits_2_with_diagnostic(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_READS_INPUT = "void main() { int x; x = input(); print(x + 1); }"
+
+
+@pytest.mark.parametrize("source, config, rc, kind", [
+    ("void main() { print(@); }", "base", 3, "LexError"),
+    ("void main() { int x x = 1; }", "base", 3, "ParseError"),
+    ("void main() { y = 1; }", "base", 3, "LowerError"),
+    # the profile config's training run reads past its empty input
+    (_READS_INPUT, "profile", 4, "InterpError"),
+    # the simulation reads past its empty input before the oracle runs
+    (_READS_INPUT, "base", 4, "MachineError"),
+], ids=["lex", "parse", "lower", "interp", "machine"])
+def test_typed_errors_exit_with_one_line(tmp_path, capsys, source, config,
+                                         rc, kind):
+    path = tmp_path / "bad.c"
+    path.write_text(source)
+    assert main(["run", str(path), "--config", config]) == rc
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: {kind}: ")
+
+
 def test_campaign_subcommand(capsys):
     rc = main(["campaign", "--workloads", "parser,gzip",
                "--scenarios", "poison,storm", "--seeds", "0,1"])

@@ -97,9 +97,9 @@ def test_trace_counters_deterministic():
 
 
 def test_hot_threshold_knob(monkeypatch):
-    """``REPRO_TRACE_HOT`` (read into ``HOT_THRESHOLD`` at import)
-    tunes warm-up: an unreachable threshold keeps every block in the
-    interpreter, a threshold of 1 compiles at least as many traces as
+    """``HOT_THRESHOLD`` (read at machine construction) tunes warm-up:
+    an unreachable threshold keeps every block in the dispatch loop,
+    a threshold of 1 compiles at least as many traces as
     the default — and the run stays bit-identical either way."""
     program, inputs = _compiled("art")
     cstats, cout = _run(program, inputs, "classic")
