@@ -7,7 +7,7 @@ Usage::
                              [--engine classic|predecode|trace]
                              [--train 1,2,3] [--ref 4,5,6] [--dump-ir]
                              [--inject SCENARIO] [--inject-seed N]
-                             [--jobs N] [--time-passes] [--trace-json FILE]
+                             [--time-passes] [--trace-json FILE]
     python -m repro compare FILE [--train ...] [--ref ...]
     python -m repro workloads [--list | --name NAME] [--spec-source SRC]
                               [--engine ENGINE]
@@ -44,9 +44,11 @@ latency/throughput load generator.
 Exit codes: 0 success, 1 the simulated output diverged from the
 reference interpreter (the readable diff is printed), 2 the run
 exhausted its fuel (the function and instruction count are reported as
-a diagnostic, not a stack trace), 3 the source failed to lex, parse or
-lower, 4 the program faulted at run time (for example ``input()`` past
-the end of its input stream).  Codes 2–4 print one ``error:`` line.
+a diagnostic, not a stack trace), 3 the source FILE could not be read
+or failed to lex, parse or lower, 4 the program faulted at run time
+(for example ``input()`` past the end of its input stream).  Codes 2–4
+print one ``error:`` line.  Usage errors — an unknown ``--config`` or
+an unknown workload name — exit 2 with argparse's usage message.
 """
 
 from __future__ import annotations
@@ -67,6 +69,37 @@ from .target import MachineError
 
 #: the `--spec-source` axis: where speculation flags come from
 _SPEC_SOURCES = ("heuristic", "profile", "static")
+
+
+class _Unreadable(Exception):
+    """A source FILE that cannot be opened (exit 3)."""
+
+
+def _read_source(path: str) -> str:
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError as exc:
+        raise _Unreadable(f"cannot read {path}: {exc.strerror or exc}") \
+            from None
+
+
+def _workload_names() -> List[str]:
+    from .workloads import all_workloads, recovery_workloads
+
+    return [w.name for w in all_workloads() + recovery_workloads()]
+
+
+def _workload_list(text: str) -> List[str]:
+    """``--workloads a,b``: an unknown name is a usage error."""
+    names = text.split(",")
+    known = _workload_names()
+    for name in names:
+        if name not in known:
+            raise argparse.ArgumentTypeError(
+                f"unknown workload {name!r} (choose from "
+                f"{', '.join(known)})")
+    return names
 
 
 def _parse_inputs(text: Optional[str]) -> List[float]:
@@ -113,7 +146,7 @@ def _config_label(args: argparse.Namespace) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    source = open(args.file).read()
+    source = _read_source(args.file)
     config = _resolve_cli_config(args)
     machine_kwargs = {"engine": args.engine}
     if args.inject != "none":
@@ -121,37 +154,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         machine_kwargs["injector"] = make_injector(args.inject,
                                                    args.inject_seed)
-    try:
-        if args.dump_ir:
-            from .ir import format_module
+    if args.dump_ir:
+        from .ir import format_module
 
-            compiled = compile_program(
-                source, config, train_inputs=_parse_inputs(args.train))
-            print(format_module(compiled.optimized))
-            print()
-        result = compile_and_run(
-            source, config,
-            train_inputs=_parse_inputs(args.train),
-            ref_inputs=_parse_inputs(args.ref),
-            check_output=not args.no_check,
-            fuel=args.fuel,
-            machine_kwargs=machine_kwargs,
-            jobs=args.jobs,
-        )
-    except OutputMismatch as exc:
-        print(exc.diff(), file=sys.stderr)
-        return 1
-    except FuelExhausted as exc:
-        print(f"error: fuel exhausted in {exc.context()} — "
-              f"likely an infinite loop in the program (or raise fuel)",
-              file=sys.stderr)
-        return 2
-    except (LexError, ParseError, LowerError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except (InterpError, MachineError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+        compiled = compile_program(
+            source, config, train_inputs=_parse_inputs(args.train))
+        print(format_module(compiled.optimized))
+        print()
+    result = compile_and_run(
+        source, config,
+        train_inputs=_parse_inputs(args.train),
+        ref_inputs=_parse_inputs(args.ref),
+        check_output=not args.no_check,
+        fuel=args.fuel,
+        machine_kwargs=machine_kwargs,
+    )
     for d in result.diagnostics:
         print(f"note: {d}", file=sys.stderr)
     from .pipeline import default_cache
@@ -193,7 +210,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    source = open(args.file).read()
+    source = _read_source(args.file)
     train = _parse_inputs(args.train)
     ref = _parse_inputs(args.ref)
     base = compile_and_run(source, SpecConfig.base(),
@@ -229,7 +246,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from .hazards import ADVERSARIES, run_campaign
 
     transform = ADVERSARIES[args.adversary] if args.adversary else None
-    names = args.workloads.split(",") if args.workloads else None
     config = None
     if args.spec_source:
         # same default the campaign uses (static control speculation —
@@ -238,7 +254,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         config = SpecConfig.profile().but(mode=SpecMode(args.spec_source),
                                           use_edge_profile=False)
     report = run_campaign(
-        workload_names=names,
+        workload_names=args.workloads,
         config=config,
         scenarios=tuple(args.scenarios.split(",")),
         seeds=[int(s) for s in args.seeds.split(",")],
@@ -289,16 +305,18 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     import json
 
-    from .service import ServiceClient, ServiceError
+    from .service import ServiceClient, ServiceError, wait_ready
 
     if not (args.ping or args.stats) and not args.file:
         print("error: a source FILE (or --ping/--stats) is required",
               file=sys.stderr)
         return 2
-    client = ServiceClient(args.host, args.port, timeout=args.timeout,
-                           connect_retry=args.wait)
+    source = None if args.ping or args.stats else _read_source(args.file)
     try:
-        with client:
+        if args.wait > 0:
+            wait_ready(args.host, args.port, budget_s=args.wait)
+        with ServiceClient(args.host, args.port,
+                           timeout=args.timeout) as client:
             if args.ping:
                 print(json.dumps(client.ping(), indent=2, sort_keys=True))
                 return 0
@@ -306,7 +324,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 print(json.dumps(client.stats(), indent=2,
                                  sort_keys=True))
                 return 0
-            source = open(args.file).read()
             req = {"op": args.op, "source": source, "config": args.config,
                    "train": _parse_inputs(args.train)}
             if args.op == "run":
@@ -393,9 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seed for the injection decision stream")
     run.add_argument("--fuel", type=int, default=50_000_000,
                      help="interpreter step budget (simulator gets 4x)")
-    run.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="compile independent functions on N threads "
-                          "(results are identical to --jobs 1)")
     run.add_argument("--time-passes", action="store_true",
                      help="report per-pass wall time and IR deltas "
                           "(stmts/loads/stores) after compilation")
@@ -415,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     workloads = sub.add_parser("workloads",
                                help="run the SPEC2000-shaped workloads")
     workloads.add_argument("--list", action="store_true")
-    workloads.add_argument("--name")
+    workloads.add_argument("--name", choices=_workload_names())
     workloads.add_argument("--config", choices=available_configs(),
                            default="profile")
     workloads.add_argument("--spec-source", choices=_SPEC_SOURCES,
@@ -433,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign", help="seeded fault-injection campaign: every "
                          "perturbed run must match the reference "
                          "interpreter")
-    campaign.add_argument("--workloads",
+    campaign.add_argument("--workloads", type=_workload_list,
                           help="comma-separated workload names "
                                "(default: all, incl. recovery set)")
     campaign.add_argument("--scenarios", default="poison,storm,chaos",
@@ -535,8 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--timeout-ms", type=float, default=None,
                         help="daemon-side deadline for this request")
     submit.add_argument("--wait", type=float, default=0.0,
-                        help="seconds to retry the connection (daemon "
-                             "may still be booting)")
+                        help="seconds to poll the daemon with ping "
+                             "before sending (it may still be booting)")
     submit.add_argument("--ping", action="store_true",
                         help="health-check the daemon and exit")
     submit.add_argument("--stats", action="store_true",
@@ -557,8 +571,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command, mapping its failures to one ``error:`` line and
+    the exit codes of the module docstring — never a traceback."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OutputMismatch as exc:
+        print(exc.diff(), file=sys.stderr)
+        return 1
+    except FuelExhausted as exc:
+        print(f"error: fuel exhausted in {exc.context()} — "
+              f"likely an infinite loop in the program (or raise fuel)",
+              file=sys.stderr)
+        return 2
+    except _Unreadable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (LexError, ParseError, LowerError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except (InterpError, MachineError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":  # pragma: no cover - `python -m repro.cli`

@@ -23,12 +23,10 @@ The key covers everything that can change the produced program:
   swap — or a restore — must change the key, never alias a stale
   result.
 
-``jobs`` is deliberately **not** part of the key: parallel compilation
-is bit-identical to sequential (asserted by the test suite), so both
-may share one entry.  Calls carrying per-call observers or state
-(``dumps``, ``profile_transform``, a shared ``analyses`` manager)
-bypass the cache entirely — their side effects are the point of the
-call — and are tallied in :attr:`CompileCache.bypasses`.
+Calls carrying per-call observers or state (``dumps``,
+``profile_transform``, a shared ``analyses`` manager) bypass the cache
+entirely — their side effects are the point of the call — and are
+tallied in :attr:`CompileCache.bypasses`.
 
 A cached hit returns the **same** :class:`CompileResult` object to
 every caller.  That is safe because nothing downstream mutates it: the

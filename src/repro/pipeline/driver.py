@@ -5,10 +5,9 @@ The pipeline itself lives in the pass manager
 (:mod:`repro.pipeline.passes`, docs/pipeline.md): typed passes
 assembled declaratively from the :class:`~repro.core.SpecConfig`,
 cached analyses, the fail-safe fallback ladder (docs/recovery.md) as
-pipeline truncations, optional parallel per-function compilation
-(``jobs``), and per-pass timing (``--time-passes``).  This module keeps
-the two entry points the rest of the repository — tests, benchmarks,
-CLI, fuzzers — calls:
+pipeline truncations, and per-pass timing (``--time-passes``).  This
+module keeps the two entry points the rest of the repository — tests,
+benchmarks, CLI, fuzzers — calls:
 
 * :func:`compile_program` — compile, no simulation;
 * :func:`compile_and_run` — compile, simulate on the ref input, verify
@@ -61,7 +60,6 @@ def compile_program(source: str, config: Optional[SpecConfig] = None,
                     dumps=None,
                     profile_transform: Optional[Callable] = None,
                     failsafe: bool = True,
-                    jobs: int = 1,
                     analyses: Optional[AnalysisManager] = None,
                     cache: CacheArg = None) -> CompileResult:
     """Compile ``source`` (no simulation).
@@ -75,11 +73,10 @@ def compile_program(source: str, config: Optional[SpecConfig] = None,
     pass crashes and verifier failures degrade the affected function
     down the fallback ladder and are recorded in
     :attr:`CompileResult.diagnostics`; with ``failsafe=False`` they
-    raise.  ``jobs > 1`` compiles independent functions on a thread
-    pool (results are bit-identical to ``jobs=1``).  Pass a shared
-    :class:`~repro.pipeline.passes.AnalysisManager` as ``analyses`` to
-    reuse cached analyses across compiles; by default each call gets a
-    fresh cache (ladder retries within the compile still hit it).
+    raise.  Pass a shared :class:`~repro.pipeline.passes.AnalysisManager`
+    as ``analyses`` to reuse cached analyses across compiles; by default
+    each call gets a fresh cache (ladder retries within the compile
+    still hit it).
 
     Pass a :class:`~repro.pipeline.CompileCache` (or ``True`` for the
     process-wide one) as ``cache`` to memoize the whole compile under
@@ -105,8 +102,7 @@ def compile_program(source: str, config: Optional[SpecConfig] = None,
             cached = memo.get(key)
             if cached is not None:
                 return cached
-    manager = PassManager(config, failsafe=failsafe, jobs=jobs,
-                          dumps=dumps, fuel=fuel,
+    manager = PassManager(config, failsafe=failsafe, dumps=dumps, fuel=fuel,
                           profile_transform=profile_transform,
                           analyses=analyses)
     result = manager.compile(source, train_inputs)
@@ -123,7 +119,6 @@ def compile_and_run(source: str, config: Optional[SpecConfig] = None,
                     machine_kwargs: Optional[dict] = None,
                     profile_transform: Optional[Callable] = None,
                     failsafe: bool = True,
-                    jobs: int = 1,
                     cache: CacheArg = None) -> RunResult:
     """Full pipeline: compile (profiling on ``train_inputs``), simulate on
     ``ref_inputs``, and — unless disabled — verify the output against the
@@ -139,7 +134,7 @@ def compile_and_run(source: str, config: Optional[SpecConfig] = None,
     it instead."""
     compiled = compile_program(source, config, train_inputs, fuel=fuel,
                                profile_transform=profile_transform,
-                               failsafe=failsafe, jobs=jobs,
+                               failsafe=failsafe,
                                cache=_resolve_cache(cache, default_cache()))
     stats, output = run_program(compiled.program, inputs=ref_inputs,
                                 fuel=4 * fuel,

@@ -11,8 +11,7 @@ retry, or a repeat compile through a shared manager, is a cache hit.
 
 Hit/miss counters are kept per analysis name; the test suite asserts
 ladder retries actually reuse cached results through them.  The manager
-is thread-safe: the parallel per-function compilation stage shares one
-instance across worker threads.
+is thread-safe, so compiles on several threads may share one instance.
 
 Invalidation follows the pass protocol: a pass declares the analyses it
 invalidates (:attr:`repro.pipeline.passes.base.Pass.invalidates`) and

@@ -1,6 +1,6 @@
 """The pass manager: declarative pipeline assembly, the fallback
-ladder as pipeline truncations, cached analyses, parallel per-function
-compilation, and per-pass instrumentation.
+ladder as pipeline truncations, cached analyses, and per-pass
+instrumentation.
 
 :class:`PassManager` owns one compilation of one source program:
 
@@ -14,10 +14,9 @@ compilation, and per-pass instrumentation.
   :class:`~repro.pipeline.passes.analysis.AnalysisManager`, so a
   ladder retry rebuilds SSA without recomputing alias info, dominance
   or points-to, and profiles are collected once;
-* independent functions compile in parallel (``jobs > 1``) on a thread
-  pool; each worker buffers its outcome — SSA, stats, diagnostics,
-  dumps, timings — and the manager merges buffers **in module function
-  order**, so the result is bit-identical to a sequential compile;
+* functions compile in module order; each buffers its outcome — SSA,
+  stats, diagnostics, dumps, timings — so the dumps of failed ladder
+  rungs are discarded before the manager merges the buffers;
 * every pass invocation is timed and measured (statements/loads/stores
   before and after) into a
   :class:`~repro.pipeline.passes.timing.PassTrace` — the
@@ -27,13 +26,12 @@ The fail-safe guards (docs/recovery.md) live here: the manager wraps
 pass execution, records :class:`~repro.pipeline.results.Diagnostic`
 entries for absorbed failures, and walks the ladder.  Passes themselves
 stay oblivious — and must be **stateless**, because one instance per
-plan is shared across functions and worker threads.
+plan is shared across every function of the module.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -204,8 +202,7 @@ def ladder_plans(config: SpecConfig,
 @dataclass
 class FunctionOutcome:
     """Buffered result of one function's ladder walk (merged by the
-    manager in module order — this is what makes ``jobs > 1``
-    deterministic)."""
+    manager in module order once the walk has settled on a rung)."""
 
     name: str
     ssa: object = None
@@ -223,16 +220,15 @@ class FunctionOutcome:
 
 class PassManager:
     """Owns one compilation: pipeline assembly, analysis caching,
-    parallel function compilation, fail-safe guards, instrumentation."""
+    fail-safe guards, instrumentation."""
 
     def __init__(self, config: Optional[SpecConfig] = None, *,
-                 failsafe: bool = True, jobs: int = 1, dumps=None,
+                 failsafe: bool = True, dumps=None,
                  fuel: int = 50_000_000,
                  profile_transform: Optional[Callable] = None,
                  analyses: Optional[AnalysisManager] = None) -> None:
         self.config = config or SpecConfig.base()
         self.failsafe = failsafe
-        self.jobs = max(1, int(jobs))
         self.dumps = dumps
         self.fuel = fuel
         self.profile_transform = profile_transform
@@ -267,14 +263,11 @@ class PassManager:
         classifier = self._alias_classifier(module, config)
 
         # per-function stage: the ladder plans are built once from the
-        # (possibly profile-degraded) config and shared by all workers
+        # (possibly profile-degraded) config and shared by all functions
         plans = ladder_plans(config, self.failsafe)
-        fns = list(module.functions.values())
-        outcomes = self._map_functions(
-            fns,
-            lambda fn: self._compile_function(module, fn, plans,
-                                              classifier, alias_profile,
-                                              edge_profile))
+        outcomes = [self._compile_function(module, fn, plans, classifier,
+                                           alias_profile, edge_profile)
+                    for fn in module.functions.values()]
 
         # deterministic merge, in module function order
         opt_stats: Dict[str, OptStats] = {}
@@ -405,25 +398,21 @@ class PassManager:
 
                 modref = self.analyses.get("modref", id(module),
                                            lambda: compute_modref(module))
-            return AliasClassifier(module, use_tbaa=config.use_tbaa,
-                                   modref=modref)
+            points_to = None
+            if config.pointer_analysis == "andersen":
+                from ...analysis.andersen import Andersen
+
+                points_to = Andersen(module)
+            return AliasClassifier(module, steensgaard=points_to,
+                                   use_tbaa=config.use_tbaa, modref=modref)
 
         return self.analyses.get(
             "alias-classifier",
-            (id(module), config.use_tbaa, config.interprocedural_modref),
+            (id(module), config.use_tbaa, config.interprocedural_modref,
+             config.pointer_analysis),
             compute)
 
     # ---- per-function stage ----------------------------------------------
-    def _map_functions(self, fns, compile_one):
-        """Compile every function, in parallel when ``jobs > 1``.
-        ``pool.map`` yields results in submission order, so outcomes —
-        and any ``failsafe=False`` exception — arrive in module order,
-        exactly as a sequential run."""
-        if self.jobs > 1 and len(fns) > 1:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                return list(pool.map(compile_one, fns))
-        return [compile_one(fn) for fn in fns]
-
     def _compile_function(self, module, fn, plans, classifier,
                           alias_profile, edge_profile) -> FunctionOutcome:
         """Walk ``fn`` down the ladder plans until one succeeds.  All

@@ -11,8 +11,8 @@ pipeline into a shared service (docs/service.md):
   content-addressed cache by key hash, in-flight deduplication (one
   compile, N waiters), per-request timeouts, typed worker-crash
   errors, graceful drain on SIGTERM;
-* :mod:`repro.service.client` — sync and async client libraries with
-  retry/backoff policies and a circuit breaker for dead daemons;
+* :mod:`repro.service.client` — the client library with retry/backoff
+  policies and a circuit breaker for dead daemons;
 * :mod:`repro.service.backoff` — deterministic (seeded-jitter)
   exponential backoff, retry policy, circuit breaker, readiness probe;
 * :mod:`repro.service.persist` — on-disk response store behind
@@ -29,8 +29,8 @@ CLI surface: ``python -m repro serve`` / ``repro submit`` /
 """
 
 from .backoff import Backoff, CircuitBreaker, RetryPolicy, wait_ready
-from .client import (AsyncServiceClient, ServiceClient, ServiceClosed,
-                     ServiceError, ServiceTimeout, ServiceUnavailable)
+from .client import ServiceClient, ServiceClosed, ServiceError, \
+    ServiceTimeout, ServiceUnavailable
 from .daemon import Daemon, DaemonThread, run_daemon
 from .loadgen import LoadReport, run_load
 from .persist import CacheStore
@@ -40,7 +40,7 @@ from .registry import available_configs, register_config, \
     register_modifier, resolve_config
 
 __all__ = [
-    "AsyncServiceClient", "Backoff", "CacheStore", "CircuitBreaker",
+    "Backoff", "CacheStore", "CircuitBreaker",
     "Daemon", "DaemonThread", "LoadReport", "ProtocolError",
     "RetryPolicy", "ServiceClient", "ServiceClosed", "ServiceError",
     "ServiceTimeout", "ServiceUnavailable",

@@ -1,9 +1,9 @@
-"""Client libraries for the compile service (docs/service.md).
+"""Client library for the compile service (docs/service.md).
 
-:class:`ServiceClient` is the synchronous library (plain sockets, no
-event loop — scripts and tests); :class:`AsyncServiceClient` is the
-``asyncio`` twin with the same surface.  Both speak the NDJSON
-protocol of :mod:`repro.service.protocol` and raise
+:class:`ServiceClient` is a synchronous library (plain sockets, no
+event loop); callers wanting concurrency open one client per thread.
+It speaks the NDJSON protocol of :mod:`repro.service.protocol` and
+raises
 
 * :class:`ServiceError` for typed daemon errors (``.type`` is one of
   :data:`~repro.service.protocol.ERROR_TYPES`);
@@ -28,11 +28,10 @@ timeout per call.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import socket
 import time
-from typing import Any, AsyncIterator, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from . import protocol
 from .backoff import CircuitBreaker, RetryPolicy
@@ -128,13 +127,11 @@ class ServiceClient:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 7457,
                  timeout: Optional[float] = None,
-                 connect_retry: float = 0.0,
                  retry: Optional[RetryPolicy] = None,
                  breaker: Optional[CircuitBreaker] = None) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.connect_retry = connect_retry
         self.retry = retry
         self.breaker = breaker
         self._sock: Optional[socket.socket] = None
@@ -143,20 +140,10 @@ class ServiceClient:
 
     # ---- connection ------------------------------------------------------
     def connect(self) -> "ServiceClient":
-        """Open the connection (retrying for up to ``connect_retry``
-        seconds — lets callers race a daemon that is still booting)."""
-        import time
-
-        deadline = time.monotonic() + self.connect_retry
-        while True:
-            try:
-                self._sock = socket.create_connection(
-                    (self.host, self.port), timeout=self.timeout)
-                break
-            except OSError:
-                if time.monotonic() >= deadline:
-                    raise
-                time.sleep(0.05)
+        """Open the connection (:func:`~repro.service.backoff.wait_ready`
+        first when the daemon may still be booting)."""
+        self._sock = socket.create_connection((self.host, self.port),
+                                              timeout=self.timeout)
         self._rfile = self._sock.makefile("rb")
         return self
 
@@ -312,169 +299,3 @@ class ServiceClient:
 
     def campaign(self, **kwargs: Any) -> Dict[str, Any]:
         return self.request(_build_request(None, "campaign", **kwargs))
-
-
-class AsyncServiceClient:
-    """The ``asyncio`` client: same surface as :class:`ServiceClient`,
-    every call a coroutine; :meth:`submit` is an async iterator."""
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 7457,
-                 timeout: Optional[float] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.retry = retry
-        self.breaker = breaker
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._ids = itertools.count(1)
-
-    async def connect(self) -> "AsyncServiceClient":
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port)
-        return self
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
-            self._writer = None
-            self._reader = None
-
-    async def __aenter__(self) -> "AsyncServiceClient":
-        if self._writer is None:
-            await self.connect()
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.close()
-
-    async def _send(self, payload: Any) -> None:
-        if self._writer is None:
-            await self.connect()
-        assert self._writer is not None
-        self._writer.write(protocol.encode(payload))
-        await self._writer.drain()
-
-    async def _recv(self) -> Dict[str, Any]:
-        assert self._reader is not None
-        try:
-            line = await asyncio.wait_for(self._reader.readline(),
-                                          self.timeout)
-        except asyncio.TimeoutError:
-            await self.close()
-            raise ServiceTimeout(
-                f"no response within {self.timeout}s") from None
-        if not line:
-            await self.close()
-            raise ServiceClosed("connection closed by the daemon")
-        return protocol.validate_response(protocol.decode_line(line))
-
-    def _check_breaker(self) -> None:
-        if self.breaker is not None and not self.breaker.allow():
-            raise ServiceUnavailable(
-                f"circuit open: {self.breaker.failures} consecutive "
-                f"connection failures to {self.host}:{self.port}")
-
-    async def request(self, req: Dict[str, Any]) -> Dict[str, Any]:
-        """Async twin of :meth:`ServiceClient.request`, including the
-        retry/backoff/circuit-breaker discipline."""
-        if req.get("id") is None:
-            req["id"] = next(self._ids)
-        policy = self.retry
-        backoff = policy.backoff() if policy is not None else None
-        attempt = 0
-        while True:
-            self._check_breaker()
-            try:
-                await self._send(req)
-                while True:
-                    resp = await self._recv()
-                    if resp.get("id") == req["id"]:
-                        break
-            except (OSError, ServiceClosed) as exc:
-                if self.breaker is not None:
-                    self.breaker.record_failure()
-                await self.close()
-                if policy is not None and policy.retry_connect \
-                        and attempt < policy.retries:
-                    await asyncio.sleep(backoff.delay_s(attempt))
-                    attempt += 1
-                    continue
-                if self.breaker is not None and not self.breaker.allow():
-                    raise ServiceUnavailable(
-                        f"daemon at {self.host}:{self.port} unreachable: "
-                        f"{exc}") from exc
-                raise
-            except ServiceTimeout:
-                if policy is not None \
-                        and "timeout" in policy.retry_types \
-                        and attempt < policy.retries:
-                    await asyncio.sleep(backoff.delay_s(attempt))
-                    attempt += 1
-                    continue
-                raise
-            if self.breaker is not None:
-                self.breaker.record_success()
-            try:
-                return raise_for_error(resp)
-            except ServiceError as exc:
-                if policy is not None and exc.type in policy.retry_types \
-                        and attempt < policy.retries:
-                    await asyncio.sleep(backoff.delay_s(
-                        attempt, exc.retry_after_ms))
-                    attempt += 1
-                    continue
-                raise
-
-    async def submit(self, requests: List[Dict[str, Any]],
-                     max_resends: int = 2
-                     ) -> AsyncIterator[Dict[str, Any]]:
-        """Async twin of :meth:`ServiceClient.submit`: pipelines the
-        batch and resends the unanswered tail after a mid-batch
-        timeout or connection drop."""
-        for req in requests:
-            if req.get("id") is None:
-                req["id"] = next(self._ids)
-        pending = {req["id"]: req for req in requests}
-        await self._send(list(requests))
-        resends = 0
-        while pending:
-            try:
-                resp = await self._recv()
-            except (ServiceTimeout, ServiceClosed, OSError):
-                if resends >= max_resends:
-                    raise
-                resends += 1
-                await self.close()
-                await self._send(list(pending.values()))
-                continue
-            rid = resp.get("id")
-            if rid in pending:
-                del pending[rid]
-                yield resp
-
-    async def ping(self) -> Dict[str, Any]:
-        return (await self.request({"op": "ping"}))["result"]
-
-    async def stats(self) -> Dict[str, Any]:
-        return (await self.request({"op": "stats"}))["result"]
-
-    async def compile_source(self, source: str,
-                             **kwargs: Any) -> Dict[str, Any]:
-        return await self.request(_build_request(None, "compile",
-                                                 source=source, **kwargs))
-
-    async def run_source(self, source: str,
-                         **kwargs: Any) -> Dict[str, Any]:
-        return await self.request(_build_request(None, "run",
-                                                 source=source, **kwargs))
-
-    async def campaign(self, **kwargs: Any) -> Dict[str, Any]:
-        return await self.request(_build_request(None, "campaign",
-                                                 **kwargs))

@@ -1,6 +1,7 @@
 """Load generator for the compile service (docs/service.md).
 
-Drives a running daemon with N concurrent client connections issuing
+Drives a running daemon with N concurrent client connections (one
+:class:`~repro.service.client.ServiceClient` per thread) issuing
 ``run`` (or ``compile``) requests drawn from a key space of K distinct
 generated programs, with configurable **skew**: ``skew=0`` spreads
 requests uniformly over the keys; larger values concentrate them
@@ -25,14 +26,14 @@ CLI::
 
 from __future__ import annotations
 
-import asyncio
 import json
 import random
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from .client import AsyncServiceClient
+from .client import ServiceClient
 
 #: one key = one distinct tiny program; {k} keeps sources (and
 #: therefore content keys) distinct, the arithmetic keeps outputs
@@ -168,54 +169,62 @@ def _schedule(clients: int, requests: int, keys: int, skew: float,
     return schedule
 
 
-async def _client_phase(host: str, port: int, key_seq: List[int],
-                        op: str, config: str, phase: PhaseReport,
-                        timeout: float) -> None:
-    async with AsyncServiceClient(host, port, timeout=timeout) as client:
-        for k in key_seq:
-            t0 = time.perf_counter()
-            req = {"op": op, "source": key_source(k), "config": config,
-                   "train": [1], }
-            if op == "run":
-                req["ref"] = [2]
-            resp = await client.request(req)
-            phase.latencies_ms.append(
-                (time.perf_counter() - t0) * 1000.0)
-            phase.requests += 1
-            if resp.get("dedup"):
-                phase.deduped += 1
-            if resp.get("cached"):
-                phase.cached += 1
-            if resp.get("persisted"):
-                phase.persisted += 1
+def _client_phase(host: str, port: int, key_seq: List[int], op: str,
+                  config: str, part: PhaseReport, timeout: float) -> None:
+    """One client thread's share of a phase, recorded into its own
+    ``part`` (merged after ``join``, so no count is shared across
+    threads).  A failed client counts one error and stops."""
+    try:
+        with ServiceClient(host, port, timeout=timeout) as client:
+            for k in key_seq:
+                t0 = time.perf_counter()
+                req = {"op": op, "source": key_source(k),
+                       "config": config, "train": [1]}
+                if op == "run":
+                    req["ref"] = [2]
+                resp = client.request(req)
+                part.latencies_ms.append(
+                    (time.perf_counter() - t0) * 1000.0)
+                part.requests += 1
+                part.deduped += bool(resp.get("dedup"))
+                part.cached += bool(resp.get("cached"))
+                part.persisted += bool(resp.get("persisted"))
+    except Exception:  # noqa: BLE001 - a failed client is counted
+        part.errors += 1
 
 
-async def generate_load(host: str = "127.0.0.1", port: int = 7457,
-                        clients: int = 8, requests: int = 8,
-                        keys: int = 4, skew: float = 0.0,
-                        op: str = "run", config: str = "profile",
-                        seed: int = 0,
-                        phases: tuple = ("cold", "warm"),
-                        timeout: float = 120.0) -> LoadReport:
+def generate_load(host: str = "127.0.0.1", port: int = 7457,
+                  clients: int = 8, requests: int = 8,
+                  keys: int = 4, skew: float = 0.0,
+                  op: str = "run", config: str = "profile",
+                  seed: int = 0,
+                  phases: tuple = ("cold", "warm"),
+                  timeout: float = 120.0) -> LoadReport:
     """Drive the daemon and measure (see module docstring)."""
     report = LoadReport(clients=clients, requests_per_client=requests,
                         keys=keys, skew=skew, op=op)
-    async with AsyncServiceClient(host, port, timeout=timeout) as probe:
-        before = await probe.stats()
+    with ServiceClient(host, port, timeout=timeout) as probe:
+        before = probe.stats()
         for phase_name in phases:
-            phase = PhaseReport(phase_name)
-            report.phases[phase_name] = phase
             schedule = _schedule(clients, requests, keys, skew, seed)
+            parts = [PhaseReport(phase_name) for _ in range(clients)]
+            threads = [threading.Thread(
+                target=_client_phase,
+                args=(host, port, schedule[c], op, config, parts[c],
+                      timeout)) for c in range(clients)]
             t0 = time.perf_counter()
-            results = await asyncio.gather(
-                *[_client_phase(host, port, schedule[c], op, config,
-                                phase, timeout)
-                  for c in range(clients)],
-                return_exceptions=True)
-            phase.elapsed_s = time.perf_counter() - t0
-            phase.errors += sum(1 for r in results
-                                if isinstance(r, Exception))
-        after = await probe.stats()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            phase = PhaseReport(
+                phase_name, elapsed_s=time.perf_counter() - t0,
+                latencies_ms=[ms for p in parts for ms in p.latencies_ms])
+            for name in ("requests", "errors", "deduped", "cached",
+                         "persisted"):
+                setattr(phase, name, sum(getattr(p, name) for p in parts))
+            report.phases[phase_name] = phase
+        after = probe.stats()
     report.compiles = after["compiles"] - before["compiles"]
     report.cache_hits = after["cache_hits"] - before["cache_hits"]
     report.deduped = after["deduped"] - before["deduped"]
@@ -225,7 +234,7 @@ async def generate_load(host: str = "127.0.0.1", port: int = 7457,
 
 
 def run_load(wait: float = 10.0, **kwargs: Any) -> LoadReport:
-    """Synchronous wrapper around :func:`generate_load`.
+    """:func:`generate_load` behind a readiness probe.
 
     First waits (with backoff, up to ``wait`` seconds) for the daemon
     to answer a ping — the readiness probe — and records the observed
@@ -237,7 +246,7 @@ def run_load(wait: float = 10.0, **kwargs: Any) -> LoadReport:
         time_to_ready = wait_ready(kwargs.get("host", "127.0.0.1"),
                                    kwargs.get("port", 7457),
                                    budget_s=wait)
-    report = asyncio.run(generate_load(**kwargs))
+    report = generate_load(**kwargs)
     report.time_to_ready_s = time_to_ready
     return report
 

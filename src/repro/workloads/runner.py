@@ -46,7 +46,6 @@ _machine_kwargs = machine_kwargs        # backwards-compatible alias
 def run_workload(workload: Workload, config: Optional[SpecConfig] = None,
                  check_output: bool = True,
                  machine_overrides: Optional[dict] = None,
-                 jobs: int = 1,
                  engine: str = "predecode") -> RunResult:
     """Compile and simulate one workload under one configuration.
 
@@ -63,7 +62,6 @@ def run_workload(workload: Workload, config: Optional[SpecConfig] = None,
         ref_inputs=workload.ref_inputs,
         check_output=check_output,
         machine_kwargs=kwargs,
-        jobs=jobs,
     )
 
 

@@ -157,3 +157,20 @@ def test_pipeline_works_with_andersen_classifier():
         ssa_fns.append(ssa)
     lowered = lower_module(module, ssa_fns)
     assert run_module(lowered) == expected
+
+
+def test_pointer_analysis_knob_selects_andersen():
+    """``SpecConfig.pointer_analysis="andersen"`` seeds the alias
+    classes from Andersen: on equake's base build the sharper classes
+    let promotion remove loads Steensgaard's merged classes keep."""
+    from repro.core import SpecConfig
+    from repro.workloads import get_workload, run_workload
+
+    workload = get_workload("equake")
+    loads = {}
+    for analysis in ("steensgaard", "andersen"):
+        result = run_workload(workload, SpecConfig.base().but(
+            pointer_analysis=analysis))
+        assert result.degraded == {}
+        loads[analysis] = result.stats.memory_loads
+    assert loads["andersen"] < loads["steensgaard"]

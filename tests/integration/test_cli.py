@@ -183,24 +183,61 @@ def test_fuel_exhaustion_exits_2_with_diagnostic(tmp_path, capsys):
 _READS_INPUT = "void main() { int x; x = input(); print(x + 1); }"
 
 
-@pytest.mark.parametrize("source, config, rc, kind", [
-    ("void main() { print(@); }", "base", 3, "LexError"),
-    ("void main() { int x x = 1; }", "base", 3, "ParseError"),
-    ("void main() { y = 1; }", "base", 3, "LowerError"),
+@pytest.mark.parametrize("command, source, config, rc, kind", [
+    ("run", "void main() { print(@); }", "base", 3, "LexError"),
+    ("run", "void main() { int x x = 1; }", "base", 3, "ParseError"),
+    ("run", "void main() { y = 1; }", "base", 3, "LowerError"),
     # the profile config's training run reads past its empty input
-    (_READS_INPUT, "profile", 4, "InterpError"),
+    ("run", _READS_INPUT, "profile", 4, "InterpError"),
     # the simulation reads past its empty input before the oracle runs
-    (_READS_INPUT, "base", 4, "MachineError"),
-], ids=["lex", "parse", "lower", "interp", "machine"])
-def test_typed_errors_exit_with_one_line(tmp_path, capsys, source, config,
-                                         rc, kind):
+    ("run", _READS_INPUT, "base", 4, "MachineError"),
+    ("compare", "void main() { int x x = 1; }", "base", 3, "ParseError"),
+    # source None: FILE does not exist
+    ("run", None, "base", 3, "cannot read {path}"),
+    ("compare", None, "base", 3, "cannot read {path}"),
+    # the file is read before any connection, so no daemon is needed
+    ("submit", None, "base", 3, "cannot read {path}"),
+], ids=["lex", "parse", "lower", "interp", "machine", "compare-parse",
+        "run-missing", "compare-missing", "submit-missing"])
+def test_typed_errors_exit_with_one_line(tmp_path, capsys, command, source,
+                                         config, rc, kind):
     path = tmp_path / "bad.c"
-    path.write_text(source)
-    assert main(["run", str(path), "--config", config]) == rc
+    if source is not None:
+        path.write_text(source)
+    assert main([command, str(path), "--config", config]) == rc
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines() == [err.strip()]
-    assert err.startswith(f"error: {kind}: ")
+    assert err.startswith(f"error: {kind.format(path=path)}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["workloads", "--name", "nosuch"],
+    ["campaign", "--workloads", "parser,nosuch"],
+], ids=["workloads", "campaign"])
+def test_unknown_workload_is_a_usage_error(capsys, argv):
+    """Like an unknown ``--config``: argparse's usage message, exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error:" in err and "'nosuch'" in err
+
+
+def test_submit_wait_gives_up_on_a_closed_port(capsys):
+    import socket
+
+    # a bound-but-not-listening port: connections are refused
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    assert main(["submit", "--ping", "--wait", "0.3",
+                 "--port", str(port)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ")
 
 
 def test_campaign_subcommand(capsys):

@@ -1,8 +1,8 @@
 """The ``bench_smoke`` CI tier (docs/pipeline.md).
 
 One workload end-to-end through the real CLI with ``--time-passes
---jobs 2 --trace-json``: the per-pass timing table must render, the
-parallel compile must pass the oracle, and the machine-readable trace
+--trace-json``: the per-pass timing table must render, the compile
+must pass the oracle, and the machine-readable trace
 lands in ``results/pass_trace.json``.  The tier also regenerates the
 superblock-scheduling ablation into ``results/
 ablation_superblock.txt`` — CI uploads both files as workflow
@@ -35,7 +35,6 @@ def test_cli_time_passes_smoke(tmp_path, capsys):
         "--config", "profile",
         "--train", ",".join(str(v) for v in workload.train_inputs),
         "--ref", ",".join(str(v) for v in workload.ref_inputs),
-        "--jobs", "2",
         "--time-passes",
         "--trace-json", trace_path,
     ])

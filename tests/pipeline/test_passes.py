@@ -75,28 +75,6 @@ def test_manager_matches_old_monolith_bit_for_bit(name, config):
     assert got_stats == want_stats
 
 
-@pytest.mark.parametrize("name", ["mcf", "gzip"])
-def test_parallel_compile_is_deterministic(name):
-    """``--jobs 4`` must produce the same machine program and the same
-    simulated counters as a sequential compile."""
-    workload = get_workload(name)
-    config = SpecConfig.aggressive()
-    seq = compile_program(workload.source, config,
-                          train_inputs=workload.train_inputs, jobs=1)
-    par = compile_program(workload.source, config,
-                          train_inputs=workload.train_inputs, jobs=4)
-    assert par.program.format() == seq.program.format()
-    assert par.degraded == seq.degraded
-    assert [str(d) for d in par.diagnostics] \
-        == [str(d) for d in seq.diagnostics]
-    seq_stats, seq_out = run_program(seq.program,
-                                     inputs=workload.ref_inputs)
-    par_stats, par_out = run_program(par.program,
-                                     inputs=workload.ref_inputs)
-    assert par_out == seq_out
-    assert par_stats == seq_stats
-
-
 # ---------------------------------------------------------------------------
 # analysis caching across ladder retries
 # ---------------------------------------------------------------------------
