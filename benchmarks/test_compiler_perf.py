@@ -43,7 +43,7 @@ from repro.hazards import run_campaign
 from repro.pipeline import CompileCache, compile_program
 from repro.target import run_program
 from repro.workloads import all_workloads
-from repro.workloads.runner import _machine_kwargs
+from repro.workloads.runner import machine_kwargs
 
 pytestmark = pytest.mark.bench_smoke
 
@@ -95,7 +95,7 @@ def test_simulate_engine_speedups():
     for w in all_workloads():
         compiled = compile_program(w.source, SpecConfig.profile(),
                                    train_inputs=w.train_inputs)
-        kwargs = _machine_kwargs()
+        kwargs = machine_kwargs()
         timings = {}
         for engine in ("classic", "predecode", "trace"):
             secs, (stats, output) = _best_of(

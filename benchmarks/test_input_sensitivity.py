@@ -23,7 +23,7 @@ from repro.pipeline import compile_and_run, compile_program, format_table
 from repro.profiling import run_module
 from repro.target import run_program
 from repro.workloads import get_workload
-from repro.workloads.runner import _machine_kwargs
+from repro.workloads.runner import machine_kwargs
 
 from conftest import emit_table
 
@@ -41,7 +41,7 @@ def sensitivity_rows():
                           (4, "1/12 rounds"), (12, "1/4 rounds")):
         ref = [200, 64, 60, stride, 8 if stride == 0 else 0, 48, 0]
         stats, output = run_program(compiled.program, inputs=ref,
-                                    **_machine_kwargs())
+                                    **machine_kwargs())
         expected = run_module(compiled.original, inputs=ref)
         assert output == expected  # correctness under every input
         rows.append({

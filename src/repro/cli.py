@@ -61,7 +61,7 @@ from .core import SpecConfig
 from .errors import FuelExhausted
 from .lang import LexError, LowerError, ParseError
 from .pipeline import Comparison, OutputMismatch, compile_and_run, \
-    compile_program, format_table
+    compile_program, format_table, run_compiled
 from .profiling import InterpError
 from .service.registry import available_configs, resolve_config
 from .ssa import SpecMode
@@ -154,21 +154,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         machine_kwargs["injector"] = make_injector(args.inject,
                                                    args.inject_seed)
+    compiled = compile_program(source, config,
+                               train_inputs=_parse_inputs(args.train),
+                               fuel=args.fuel, cache=True)
     if args.dump_ir:
         from .ir import format_module
 
-        compiled = compile_program(
-            source, config, train_inputs=_parse_inputs(args.train))
         print(format_module(compiled.optimized))
         print()
-    result = compile_and_run(
-        source, config,
-        train_inputs=_parse_inputs(args.train),
-        ref_inputs=_parse_inputs(args.ref),
-        check_output=not args.no_check,
-        fuel=args.fuel,
-        machine_kwargs=machine_kwargs,
-    )
+    result = run_compiled(compiled, source, _parse_inputs(args.ref),
+                          check_output=not args.no_check, fuel=args.fuel,
+                          machine_kwargs=machine_kwargs)
     for d in result.diagnostics:
         print(f"note: {d}", file=sys.stderr)
     from .pipeline import default_cache
@@ -179,7 +175,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"compile cache: {cache_stats['hits']} hits, "
               f"{cache_stats['misses']} misses, "
               f"{cache_stats['bypasses']} bypasses "
-              f"({cache_stats['entries']} entries)", file=sys.stderr)
+              f"({cache_stats['entries']} entries); oracle: "
+              f"{cache_stats['oracle_hits']} hits, "
+              f"{cache_stats['oracle_misses']} misses", file=sys.stderr)
     if args.trace_json and result.pass_trace is not None:
         result.pass_trace.dump_json(
             args.trace_json, cache_stats=cache_stats,

@@ -1,9 +1,11 @@
 """The differential fault-injection campaign.
 
-For every workload: compile once (optionally through an adversarial
-profile transform), run the reference interpreter once on the *original*
-program — the correctness oracle — then simulate the optimized program
-under every ``(scenario, seed)`` perturbation and require bit-for-bit
+For every workload, one prepare step compiles once (optionally through
+an adversarial profile transform) and fetches the correctness oracle —
+the reference interpreter's output on the *original* program — through
+the driver (:func:`repro.pipeline.reference_output`, memoized in the
+compile cache).  The campaign then simulates the optimized program
+under every ``(scenario, seed)`` perturbation and requires bit-for-bit
 output equality.  An injected run may cost extra cycles (replays,
 check misses, cold caches); it must never change a single output line.
 
@@ -13,25 +15,28 @@ CLI exposes it as ``python -m repro.cli campaign``.
 
 With ``jobs > 1`` the injected runs fan out over a **process pool**
 (simulation is pure Python, so threads would serialize on the GIL).
-Each worker process compiles a workload once — on first contact,
-memoized per process — and then only simulates; tasks are distributed
-and results collected with ``executor.map``, which preserves submission
-order, so the report is **bit-for-bit identical** to ``jobs=1``
-regardless of completion order.  ``jobs=1`` keeps the exact sequential
-path (no pool, no pickling).
+The pool's initializer hands every worker the prepared ``(program,
+expected output, ref inputs)`` of each workload once; workers never
+compile and never run the oracle, they only simulate.  Tasks are
+distributed and results collected with ``executor.map``, which
+preserves submission order, so the report is **bit-for-bit identical**
+to ``jobs=1`` regardless of completion order.  ``jobs=1`` keeps the
+sequential path (no pool, no pickling).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from ..core import SpecConfig
-from ..pipeline import compile_program
-from ..profiling import run_module
-from ..target import MachineError, run_program
+# perfbench's probe patches compile_program/run_module/run_program here
+from ..pipeline import compile_program, reference_output
+from ..profiling import run_module  # noqa: F401
+from ..target import MachineError, MProgram, run_program
 from ..workloads import all_workloads, get_workload, recovery_workloads
-from ..workloads.runner import _machine_kwargs
+from ..workloads.runner import machine_kwargs
 from .injector import make_injector
 
 
@@ -89,24 +94,53 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def _injected_run(compiled, expected: List[str], workload_name: str,
-                  ref_inputs, scenario: str, seed: int, fuel: int,
-                  kwargs: dict, engine: str = "predecode") -> InjectedRun:
+class _Prepared(NamedTuple):
+    """One workload made ready for injection: everything its injected
+    runs need, and all a pool worker is ever sent."""
+
+    name: str
+    program: MProgram
+    expected: List[str]
+    ref_inputs: List[float]
+    fuel: int
+    engine: str
+
+
+def _prepare(workload, config: SpecConfig,
+             profile_transform: Optional[Callable], fuel: int,
+             engine: str, report: CampaignReport) -> _Prepared:
+    """Compile ``workload`` once, fetch its oracle output through the
+    driver, and record its degraded functions in ``report``."""
+    compiled = compile_program(workload.source, config,
+                               train_inputs=workload.train_inputs,
+                               fuel=fuel,
+                               profile_transform=profile_transform)
+    report.degraded.extend(f"{workload.name}:{fn}"
+                           for fn in compiled.degraded)
+    expected = reference_output(workload.source, compiled.original,
+                                workload.ref_inputs, fuel=fuel)
+    return _Prepared(workload.name, compiled.program, expected,
+                     list(workload.ref_inputs), fuel, engine)
+
+
+def _injected_run(prepared: _Prepared, scenario: str,
+                  seed: int) -> InjectedRun:
     """Simulate one ``(scenario, seed)`` perturbation and check it
     against the oracle — the single code path both the sequential and
     the parallel campaign execute."""
     injector = make_injector(scenario, seed)
-    run = InjectedRun(workload_name, scenario, seed, ok=False)
+    run = InjectedRun(prepared.name, scenario, seed, ok=False)
     try:
         stats, output = run_program(
-            compiled.program, inputs=ref_inputs,
-            fuel=4 * fuel, injector=injector, engine=engine, **kwargs)
+            prepared.program, inputs=prepared.ref_inputs,
+            fuel=4 * prepared.fuel, injector=injector,
+            engine=prepared.engine, **machine_kwargs())
     except MachineError as exc:
         run.error = str(exc)
     else:
-        run.ok = output == expected
+        run.ok = output == prepared.expected
         if not run.ok:
-            run.error = _first_divergence(expected, output)
+            run.error = _first_divergence(prepared.expected, output)
         run.cycles = stats.cycles
         run.deferred_faults = stats.deferred_faults
         run.spec_recoveries = stats.spec_recoveries
@@ -115,51 +149,15 @@ def _injected_run(compiled, expected: List[str], workload_name: str,
     return run
 
 
-# ---------------------------------------------------------------------------
-# Worker-process side of the parallel campaign.  Each worker compiles a
-# workload on first contact and memoizes (compiled, oracle output,
-# degraded notes) for the rest of its tasks — so a pool of N workers
-# costs at most N compiles per workload, all identical by the
-# determinism the compile pipeline already guarantees.
-# ---------------------------------------------------------------------------
-
-_WORKER_MEMO: Dict[tuple, tuple] = {}
-
 #: measured break-even for the process-pool fan-out: on boxes with
 #: fewer CPUs, or matrices with fewer injected runs, per-task pickling
-#: and per-worker compile warm-up dominate and the pool *loses* to
-#: serial (BENCH_perf.json recorded jobs=4 at 0.75x of jobs=1 on a
-#: low-CPU machine).  ``run_campaign`` silently falls back to the
-#: sequential path below either threshold — bit-for-bit identical
-#: output either way.  The fuller adaptive-chunking rework (batch
-#: sizing by workload cost, pre-fork after the shared compile) remains
-#: a ROADMAP item.
+#: and per-worker start-up dominate and the pool *loses* to serial
+#: (BENCH_perf.json recorded jobs=4 at 0.75x of jobs=1 on a low-CPU
+#: machine).  ``run_campaign`` silently falls back to the sequential
+#: path below either threshold — bit-for-bit identical output either
+#: way.
 PARALLEL_MIN_CPUS = 4
 PARALLEL_MIN_RUNS = 48
-
-
-def _campaign_task(task: tuple) -> Tuple[InjectedRun, Tuple[str, ...]]:
-    (workload_name, config, scenario, seed, fuel, profile_transform,
-     engine) = task
-    memo_key = (workload_name, repr(config), fuel)
-    entry = _WORKER_MEMO.get(memo_key)
-    if entry is None:
-        workload = get_workload(workload_name)
-        compiled = compile_program(workload.source, config,
-                                   train_inputs=workload.train_inputs,
-                                   fuel=fuel,
-                                   profile_transform=profile_transform)
-        expected = run_module(compiled.original, fuel=fuel,
-                              inputs=workload.ref_inputs)
-        degraded = tuple(f"{workload.name}:{fn}"
-                         for fn in compiled.degraded)
-        entry = (compiled, expected, degraded, list(workload.ref_inputs),
-                 _machine_kwargs())
-        _WORKER_MEMO[memo_key] = entry
-    compiled, expected, degraded, ref_inputs, kwargs = entry
-    run = _injected_run(compiled, expected, workload_name, ref_inputs,
-                        scenario, seed, fuel, kwargs, engine)
-    return run, degraded
 
 
 def run_campaign(workload_names: Optional[Sequence[str]] = None,
@@ -173,12 +171,12 @@ def run_campaign(workload_names: Optional[Sequence[str]] = None,
                  engine: str = "predecode") -> CampaignReport:
     """Run the differential campaign (see module docstring).
 
-    Each workload is compiled **once** per campaign (once per worker
-    process when ``jobs > 1``); only the simulator re-runs per
-    ``(scenario, seed)``, so a 200-run campaign costs a handful of
+    Each workload is compiled and its oracle output fetched **once**
+    per campaign, in the calling process; only the simulator re-runs
+    per ``(scenario, seed)``, so a 200-run campaign costs a handful of
     compiles, not two hundred.  The report is bit-for-bit identical for
-    any ``jobs``; with ``jobs > 1``, ``profile_transform`` must be
-    picklable (the named :data:`~repro.hazards.ADVERSARIES` are).
+    any ``jobs``, and ``profile_transform`` may be any callable (it
+    never crosses a process boundary).
 
     ``jobs > 1`` only engages the process pool past the measured
     break-even — at least :data:`PARALLEL_MIN_CPUS` CPUs and
@@ -204,64 +202,49 @@ def run_campaign(workload_names: Optional[Sequence[str]] = None,
     # workloads' guards hot and optimize their ld.s sites away, leaving
     # the poison scenario nothing to poison.
     config = config or SpecConfig.profile().but(use_edge_profile=False)
+    scenarios = list(scenarios)
     seeds = list(seeds)
     jobs = max(1, int(jobs))
-    total_runs = len(workloads) * len(list(scenarios)) * len(seeds)
+    report = CampaignReport()
+    prepared = [_prepare(workload, config, profile_transform, fuel, engine,
+                         report)
+                for workload in workloads]
+    matrix = [(index, scenario, seed)
+              for index in range(len(prepared))
+              for scenario in scenarios
+              for seed in seeds]
     import os
 
     past_break_even = ((os.cpu_count() or 1) >= PARALLEL_MIN_CPUS
-                       and total_runs >= PARALLEL_MIN_RUNS)
-    # (an empty scenario/seed matrix leaves nothing to fan out, but the
-    # sequential path still records each workload's degraded notes)
-    if jobs > 1 and total_runs and (past_break_even or force_parallel):
-        return _run_campaign_parallel(workloads, config, scenarios, seeds,
-                                      profile_transform, fuel, jobs, engine)
-    report = CampaignReport()
-    for workload in workloads:
-        compiled = compile_program(workload.source, config,
-                                   train_inputs=workload.train_inputs,
-                                   fuel=fuel,
-                                   profile_transform=profile_transform)
-        report.degraded.extend(f"{workload.name}:{fn}"
-                               for fn in compiled.degraded)
-        expected = run_module(compiled.original, fuel=fuel,
-                              inputs=workload.ref_inputs)
-        kwargs = _machine_kwargs()
-        for scenario in scenarios:
-            for seed in seeds:
-                report.runs.append(_injected_run(
-                    compiled, expected, workload.name,
-                    workload.ref_inputs, scenario, seed, fuel, kwargs,
-                    engine))
+                       and len(matrix) >= PARALLEL_MIN_RUNS)
+    if jobs > 1 and matrix and (past_break_even or force_parallel):
+        from concurrent.futures import ProcessPoolExecutor
+
+        report.parallel_taken = True
+        # executor.map collects in submission order, so the report
+        # cannot depend on completion order
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 initializer=_init_worker,
+                                 initargs=(prepared,)) as pool:
+            report.runs.extend(pool.map(_worker_run, matrix, chunksize=1))
+    else:
+        report.runs.extend(_injected_run(prepared[index], scenario, seed)
+                           for index, scenario, seed in matrix)
     return report
 
 
-def _run_campaign_parallel(workloads, config: SpecConfig,
-                           scenarios: Sequence[str], seeds: List[int],
-                           profile_transform: Optional[Callable],
-                           fuel: int, jobs: int,
-                           engine: str = "predecode") -> CampaignReport:
-    """Fan the injected runs over a process pool.  Tasks are built in
-    the sequential path's exact nested order and collected with
-    ``executor.map`` (submission order), so the report cannot depend on
-    completion order."""
-    from concurrent.futures import ProcessPoolExecutor
+#: a pool worker's copy of the prepared workloads, set once by its
+#: initializer; each task names one by index
+_PREPARED: List[_Prepared] = []
 
-    tasks = [(workload.name, config, scenario, seed, fuel,
-              profile_transform, engine)
-             for workload in workloads
-             for scenario in scenarios
-             for seed in seeds]
-    report = CampaignReport(parallel_taken=True)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_campaign_task, tasks, chunksize=1))
-    seen_degraded = set()
-    for (run, degraded), task in zip(results, tasks):
-        report.runs.append(run)
-        if task[0] not in seen_degraded:
-            seen_degraded.add(task[0])
-            report.degraded.extend(degraded)
-    return report
+
+def _init_worker(prepared: List[_Prepared]) -> None:
+    _PREPARED[:] = prepared
+
+
+def _worker_run(task: Tuple[int, str, int]) -> InjectedRun:
+    index, scenario, seed = task
+    return _injected_run(_PREPARED[index], scenario, seed)
 
 
 def _first_divergence(expected: List[str], actual: List[str]) -> str:

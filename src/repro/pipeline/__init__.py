@@ -3,7 +3,8 @@
 from ..core import SpecConfig
 from .cache import (CompileCache, compiler_fingerprint, content_key,
                     default_cache, shard_of)
-from .driver import compile_and_run, compile_program
+from .driver import (compile_and_run, compile_program, reference_output,
+                     run_compiled)
 from .dumps import DumpSink
 from .passes import (PASS_REGISTRY, AnalysisManager, PassManager,
                      PassTiming, PassTrace)
@@ -16,5 +17,5 @@ __all__ = [
     "PassManager", "PassTiming", "PassTrace", "RunResult", "SpecConfig",
     "compile_and_run", "compile_program", "compiler_fingerprint",
     "content_key", "default_cache",
-    "format_table", "shard_of",
+    "format_table", "reference_output", "run_compiled", "shard_of",
 ]

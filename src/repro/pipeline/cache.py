@@ -28,6 +28,15 @@ Calls carrying per-call observers or state (``dumps``,
 entirely — their side effects are the point of the call — and are
 tallied in :attr:`CompileCache.bypasses`.
 
+A second bounded store memoizes the **oracle**: the reference
+interpreter's output that :func:`~repro.pipeline.reference_output`
+checks runs against.  The oracle interprets the *unoptimized* program,
+so :meth:`CompileCache.oracle_key` covers only the source text, the ref
+inputs, the fuel and the identity of the driver's ``run_module`` seam —
+every configuration of one program shares one entry.  Its counters
+(``oracle_hits``/``oracle_misses``) are kept apart from the compile
+counters, so a compile hit still means exactly that.
+
 A cached hit returns the **same** :class:`CompileResult` object to
 every caller.  That is safe because nothing downstream mutates it: the
 simulator translates the machine program into its own pre-decoded form
@@ -40,7 +49,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core import SpecConfig
@@ -99,16 +108,20 @@ def shard_of(key: str, shards: int) -> int:
 
 
 class CompileCache:
-    """Bounded (LRU) content-addressed memo of compiled programs."""
+    """Bounded (LRU) content-addressed memo of compiled programs and of
+    the oracle outputs they are checked against."""
 
     def __init__(self, capacity: int = 32) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._entries: "OrderedDict[str, CompileResult]" = OrderedDict()
+        self._oracle: "OrderedDict[str, Tuple[str, ...]]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        self.oracle_hits = 0
+        self.oracle_misses = 0
         self.bypasses = 0
         self.evictions = 0
 
@@ -133,6 +146,20 @@ class CompileCache:
                  .encode())
         return h.hexdigest()
 
+    @staticmethod
+    def oracle_key(source: str, inputs: Sequence[float], fuel: int) -> str:
+        """The key of one oracle run: the source, the ref inputs, the
+        fuel and the identity of the driver's ``run_module`` seam (a
+        swapped interpreter must never be served a stale output)."""
+        from . import driver
+
+        h = hashlib.sha256()
+        h.update(source.encode())
+        h.update(b"\x00")
+        h.update(repr((tuple(inputs), fuel, id(driver.run_module)))
+                 .encode())
+        return h.hexdigest()
+
     # ---- lookup ----------------------------------------------------------
     def get(self, key: str) -> Optional["CompileResult"]:
         """The cached result under ``key``, or None (counted as a miss —
@@ -148,16 +175,36 @@ class CompileCache:
 
     def put(self, key: str, result: "CompileResult") -> None:
         with self._lock:
-            self._entries[key] = result
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            self._insert(self._entries, key, result)
+
+    def get_oracle(self, key: str) -> Optional[List[str]]:
+        """A fresh copy of the oracle output under ``key``, or None
+        (counted as an oracle miss)."""
+        with self._lock:
+            output = self._oracle.get(key)
+            if output is None:
+                self.oracle_misses += 1
+                return None
+            self._oracle.move_to_end(key)
+            self.oracle_hits += 1
+            return list(output)
+
+    def put_oracle(self, key: str, output: Sequence[str]) -> None:
+        with self._lock:
+            self._insert(self._oracle, key, tuple(output))
+
+    def _insert(self, store: OrderedDict, key: str, value) -> None:
+        store[key] = value
+        store.move_to_end(key)
+        while len(store) > self.capacity:
+            store.popitem(last=False)
+            self.evictions += 1
 
     def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
+        """Drop every entry, compiled and oracle (counters are kept)."""
         with self._lock:
             self._entries.clear()
+            self._oracle.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -166,7 +213,9 @@ class CompileCache:
     def stats(self) -> dict:
         """JSON-friendly counter snapshot (reported next to the
         :class:`~repro.pipeline.passes.analysis.AnalysisManager` stats
-        in ``--time-passes`` / ``--trace-json``)."""
+        in ``--time-passes`` / ``--trace-json``).  ``hits``/``misses``
+        count compiles only; oracle lookups have their own pair, and
+        ``evictions`` counts both stores."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -174,6 +223,8 @@ class CompileCache:
             "evictions": self.evictions,
             "entries": len(self._entries),
             "capacity": self.capacity,
+            "oracle_hits": self.oracle_hits,
+            "oracle_misses": self.oracle_misses,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -6,20 +6,25 @@ The pipeline itself lives in the pass manager
 assembled declaratively from the :class:`~repro.core.SpecConfig`,
 cached analyses, the fail-safe fallback ladder (docs/recovery.md) as
 pipeline truncations, and per-pass timing (``--time-passes``).  This
-module keeps the two entry points the rest of the repository — tests,
+module keeps the entry points the rest of the repository — tests,
 benchmarks, CLI, fuzzers — calls:
 
 * :func:`compile_program` — compile, no simulation;
 * :func:`compile_and_run` — compile, simulate on the ref input, verify
-  against the reference interpreter (the correctness oracle).
+  against the reference interpreter (the correctness oracle);
+* :func:`run_compiled` — its simulate-and-check half, for callers that
+  already hold a :class:`CompileResult`;
+* :func:`reference_output` — the oracle itself, memoized in the
+  :class:`~repro.pipeline.CompileCache`.  Nothing else in the package
+  runs the reference interpreter on a ref input.
 
 Several module globals here are deliberate **test seams**, resolved
 late by the pass manager so reassigning or monkeypatching them takes
 effect: ``collect_alias_profile`` / ``collect_edge_profile`` (profile
-injection), ``verify_ssa`` (verifier-failure injection) and
-``run_program`` (simulator stubbing).  To inject a failure into an
-individual pass, replace its entry in
-:data:`repro.pipeline.passes.PASS_REGISTRY` instead.
+injection), ``verify_ssa`` (verifier-failure injection),
+``run_program`` (simulator stubbing) and ``run_module`` (the oracle's
+interpreter).  To inject a failure into an individual pass, replace
+its entry in :data:`repro.pipeline.passes.PASS_REGISTRY` instead.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Union
 
 from ..core import SpecConfig, optimize_function  # noqa: F401 — re-export
+from ..ir import Module
 from ..profiling import (collect_alias_profile,  # noqa: F401 — seams
                          collect_edge_profile, run_module)
 from ..ssa import verify_ssa  # noqa: F401 — seam (see module docstring)
@@ -38,8 +44,8 @@ from .results import CompileResult, Diagnostic  # noqa: F401 — re-export
 from .results import OutputMismatch, RunResult
 
 #: ``cache=None`` means "driver default": no cache in
-#: :func:`compile_program`, the process-wide cache in
-#: :func:`compile_and_run`.  ``False`` disables, an instance selects.
+#: :func:`compile_program`, the process-wide cache everywhere else.
+#: ``False`` disables, an instance selects.
 CacheArg = Union[CompileCache, bool, None]
 
 
@@ -120,29 +126,46 @@ def compile_and_run(source: str, config: Optional[SpecConfig] = None,
                     profile_transform: Optional[Callable] = None,
                     failsafe: bool = True,
                     cache: CacheArg = None) -> RunResult:
-    """Full pipeline: compile (profiling on ``train_inputs``), simulate on
-    ``ref_inputs``, and — unless disabled — verify the output against the
+    """Full pipeline: :func:`compile_program` (profiling on
+    ``train_inputs``), then :func:`run_compiled` — simulate on
+    ``ref_inputs`` and, unless disabled, verify the output against the
     reference interpreter.  An oracle divergence raises
     :class:`~repro.pipeline.OutputMismatch` (an ``AssertionError``
     carrying a readable diff).
 
-    Compiles are memoized in the process-wide
+    Compiles and oracle outputs are memoized in the process-wide
     :class:`~repro.pipeline.CompileCache` by default — repeat runs of
     an identical (source, config, train inputs) triple reuse the
-    compiled program and only re-simulate.  Pass ``cache=False`` to
-    force a fresh compile, or a specific :class:`CompileCache` to use
-    it instead."""
+    compiled program and only re-simulate, and every configuration of
+    one source on one ref input shares a single oracle run.  Pass
+    ``cache=False`` to force a fresh compile and oracle run, or a
+    specific :class:`CompileCache` to use it instead."""
     compiled = compile_program(source, config, train_inputs, fuel=fuel,
                                profile_transform=profile_transform,
                                failsafe=failsafe,
                                cache=_resolve_cache(cache, default_cache()))
+    return run_compiled(compiled, source, ref_inputs,
+                        check_output=check_output, fuel=fuel,
+                        machine_kwargs=machine_kwargs, cache=cache)
+
+
+def run_compiled(compiled: CompileResult, source: str,
+                 ref_inputs: Sequence[float] = (),
+                 check_output: bool = True,
+                 fuel: int = 50_000_000,
+                 machine_kwargs: Optional[dict] = None,
+                 cache: CacheArg = None) -> RunResult:
+    """The simulate-and-check half of :func:`compile_and_run`:
+    simulate ``compiled`` (the result of compiling ``source``) on
+    ``ref_inputs`` and, with ``check_output``, compare its output with
+    :func:`reference_output`."""
     stats, output = run_program(compiled.program, inputs=ref_inputs,
                                 fuel=4 * fuel,
                                 **(machine_kwargs or {}))
     expected: Optional[List[str]] = None
     if check_output:
-        expected = run_module(compiled.original, fuel=fuel,
-                              inputs=ref_inputs)
+        expected = reference_output(source, compiled.original, ref_inputs,
+                                    fuel=fuel, cache=cache)
         if output != expected:
             raise OutputMismatch(expected, output)
     return RunResult(
@@ -156,3 +179,27 @@ def compile_and_run(source: str, config: Optional[SpecConfig] = None,
         degraded=compiled.degraded,
         pass_trace=compiled.pass_trace,
     )
+
+
+def reference_output(source: str, module: Module,
+                     inputs: Sequence[float] = (),
+                     fuel: int = 50_000_000,
+                     cache: CacheArg = None) -> List[str]:
+    """The correctness oracle: what the reference interpreter prints
+    for ``module`` — the unoptimized program lowered from ``source``
+    (:attr:`CompileResult.original`) — on ``inputs``.
+
+    The one place the package runs the oracle.  Outputs are memoized
+    in ``cache`` (the process-wide :class:`CompileCache` by default)
+    under :meth:`CompileCache.oracle_key`; ``cache=False`` always
+    interprets.  A run that exhausts its fuel raises
+    :class:`~repro.errors.FuelExhausted` and is never stored."""
+    memo = _resolve_cache(cache, default_cache())
+    if memo is None:
+        return run_module(module, fuel=fuel, inputs=inputs)
+    key = memo.oracle_key(source, inputs, fuel)
+    expected = memo.get_oracle(key)
+    if expected is None:
+        expected = run_module(module, fuel=fuel, inputs=inputs)
+        memo.put_oracle(key, expected)
+    return expected

@@ -9,57 +9,9 @@ CFG edge traversal and derives block execution frequencies.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Optional, Tuple
 
 from ..ir import BasicBlock, Function, Module
 from .interp import Interpreter, Tracer
-
-
-class _VersionedCounter(Counter):
-    """A Counter that stamps a version on every mutation.
-
-    :meth:`EdgeProfile.prob` normalizes by the sum of ``src``'s outgoing
-    traversal counts; memoizing those sums is only sound while the
-    underlying counts stand still.  Rather than hooking every call site
-    that bumps a counter (the profiler, tests poking counts directly),
-    the counter itself versions its writes and the derived cache
-    compares versions lazily on read."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        self.version = 0
-        super().__init__(*args, **kwargs)
-
-    def __setitem__(self, key, value) -> None:
-        self.version += 1
-        super().__setitem__(key, value)
-
-    def __delitem__(self, key) -> None:
-        self.version += 1
-        super().__delitem__(key)
-
-    def clear(self) -> None:
-        self.version += 1
-        super().clear()
-
-    def update(self, *args, **kwargs) -> None:
-        self.version += 1
-        super().update(*args, **kwargs)
-
-    def subtract(self, *args, **kwargs) -> None:
-        self.version += 1
-        super().subtract(*args, **kwargs)
-
-    def pop(self, *args):
-        self.version += 1
-        return super().pop(*args)
-
-    def popitem(self):
-        self.version += 1
-        return super().popitem()
-
-    def setdefault(self, key, default=None):
-        self.version += 1
-        return super().setdefault(key, default)
 
 
 class EdgeProfile:
@@ -72,19 +24,13 @@ class EdgeProfile:
     codegen; see :mod:`repro.target.superblock`)."""
 
     def __init__(self) -> None:
-        self.edge_count: Counter = _VersionedCounter()
+        self.edge_count: Counter = Counter()
         self.block_count: Counter = Counter()
         self.entry_count: Counter = Counter()
         #: ``(fn name, src block name, dst block name) -> traversals``
         self.edge_name_count: Counter = Counter()
         #: ``(fn name, block name) -> executions``
         self.block_name_count: Counter = Counter()
-        #: memoized :meth:`prob` denominators, keyed by the branch
-        #: point and its successor list; valid for one edge_count
-        #: version (SSAPRE queries every edge of a hot branch many
-        #: times over, against a profile that no longer changes)
-        self._out_totals: Dict[tuple, int] = {}
-        self._out_totals_version: int = -1
 
     def edge(self, src: BasicBlock, dst: BasicBlock) -> int:
         return self.edge_count.get((src.uid, dst.uid), 0)
@@ -110,15 +56,7 @@ class EdgeProfile:
         succs = list(src.succs)
         if dst not in succs:
             return 0.0
-        counts = self.edge_count
-        if counts.version != self._out_totals_version:
-            self._out_totals.clear()
-            self._out_totals_version = counts.version
-        key = (src.uid, tuple(s.uid for s in succs))
-        total = self._out_totals.get(key)
-        if total is None:
-            total = sum(counts.get((src.uid, s.uid), 0) for s in succs)
-            self._out_totals[key] = total
+        total = sum(self.edge(src, s) for s in succs)
         if total == 0:
             return 1.0 / len(succs)
         return self.edge(src, dst) / total

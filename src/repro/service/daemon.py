@@ -69,7 +69,7 @@ class _WorkError(Exception):
 class DaemonStats:
     """Daemon-side counters (the ``stats`` op reports them)."""
 
-    #: the integer counters to_dict/from_dict round-trip verbatim
+    #: the integer counters to_dict reports verbatim
     _COUNTERS = ("connections", "requests", "responses", "deduped",
                  "errors", "timeouts", "worker_restarts", "shed",
                  "queue_depth_peak")
@@ -96,18 +96,6 @@ class DaemonStats:
             payload[name] = getattr(self, name)
         payload["by_op"] = dict(self.by_op)
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "DaemonStats":
-        """Rebuild a stats snapshot (the inverse of :meth:`to_dict`,
-        modulo clock drift on ``uptime_s``)."""
-        stats = cls()
-        for name in cls._COUNTERS:
-            setattr(stats, name, int(payload.get(name, 0)))
-        stats.by_op = dict(payload.get("by_op", {}))
-        stats.started = time.monotonic() - float(payload.get("uptime_s",
-                                                             0.0))
-        return stats
 
 
 def _worker_env(cache_dir: Optional[str] = None) -> Dict[str, str]:

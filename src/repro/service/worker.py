@@ -2,13 +2,16 @@
 
 Each worker is a subprocess running :func:`main`: it reads one JSON
 request per line on stdin, executes it through the pipeline, and
-writes one JSON response per line on stdout.  The daemon
+writes one JSON response per line on stdout.  A ``compile`` request is
+one :func:`~repro.pipeline.compile_program` call and a ``run`` request
+one :func:`~repro.pipeline.compile_and_run` call, both through the
+process-wide :class:`~repro.pipeline.CompileCache`, which also holds
+the oracle outputs ``run`` checks against.  The daemon
 (:mod:`repro.service.daemon`) owns the sockets, sharding and
 deduplication; a worker only ever sees requests whose content key
-hashes into its shard, so its process-wide
-:class:`~repro.pipeline.CompileCache` *is* that shard — warm keys stay
+hashes into its shard, so its cache *is* that shard — warm keys stay
 warm for the worker's whole lifetime without any cross-process cache
-coherence.
+coherence.  A response's ``cached`` flag means a compile hit.
 
 :func:`handle_request` is a pure request→response function so the
 daemon's in-process mode (``workers=0``) and the tests can call it
@@ -52,38 +55,32 @@ def configure_persistence(cache_dir: Optional[str]):
     return _STORE
 
 
-def persistent_store():
-    """The active store, or None."""
-    return _STORE
-
-
 def _cache():
     from ..pipeline import default_cache
 
     return default_cache()
 
 
-def _compile(req: Dict[str, Any]):
-    """The shared compile step of ``compile`` and ``run``: returns
-    ``(CompileResult, hit)`` where ``hit`` says the shard cache already
-    held the key."""
-    from ..pipeline import compile_program
-
+def _through_cache(run, req: Dict[str, Any], config, **kwargs):
+    """Call ``run`` (``compile_program`` or ``compile_and_run``) on the
+    request's source and compile arguments through the shard cache;
+    returns ``(result, hit)`` where ``hit`` says the cache already held
+    the compile."""
     cache = _cache()
     hits_before = cache.hits
-    compiled = compile_program(
-        req["source"],
-        resolve_config(req.get("config", "base")),
-        train_inputs=req.get("train", []),
-        fuel=req.get("fuel", 50_000_000),
-        failsafe=req.get("failsafe", True),
-        cache=cache,
-    )
-    return compiled, cache.hits > hits_before
+    result = run(req["source"], config,
+                 train_inputs=req.get("train", []),
+                 fuel=req.get("fuel", 50_000_000),
+                 failsafe=req.get("failsafe", True),
+                 cache=cache, **kwargs)
+    return result, cache.hits > hits_before
 
 
 def _handle_compile(req: Dict[str, Any]) -> Dict[str, Any]:
-    compiled, hit = _compile(req)
+    from ..pipeline import compile_program
+
+    compiled, hit = _through_cache(
+        compile_program, req, resolve_config(req.get("config", "base")))
     program = compiled.program
     result = {
         "functions": len(program.functions),
@@ -97,26 +94,18 @@ def _handle_compile(req: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _handle_run(req: Dict[str, Any]) -> Dict[str, Any]:
-    from ..pipeline import OutputMismatch
-    from ..profiling import run_module
-    from ..target import run_program
+    from ..pipeline import compile_and_run
 
-    compiled, hit = _compile(req)
-    fuel = req.get("fuel", 50_000_000)
-    ref_inputs = req.get("ref", [])
+    config = resolve_config(req.get("config", "base"))
     # the config spec string selects the simulator too ("profile+trace")
-    stats, output = run_program(compiled.program, inputs=ref_inputs,
-                                fuel=4 * fuel,
-                                engine=compiled.config.engine)
-    if req.get("check", True):
-        expected = run_module(compiled.original, fuel=fuel,
-                              inputs=ref_inputs)
-        if output != expected:
-            raise OutputMismatch(expected, output)
+    run, hit = _through_cache(
+        compile_and_run, req, config, ref_inputs=req.get("ref", []),
+        check_output=req.get("check", True),
+        machine_kwargs={"engine": config.engine})
     result = {
-        "output": list(output),
-        "stats": stats.to_dict(),
-        "degraded": list(compiled.degraded),
+        "output": list(run.output),
+        "stats": run.stats.to_dict(),
+        "degraded": list(run.degraded),
     }
     return protocol.ok_response(req["id"], "run", result, cached=hit)
 

@@ -40,8 +40,6 @@ def machine_kwargs(**overrides) -> dict:
     return kwargs
 
 
-_machine_kwargs = machine_kwargs        # backwards-compatible alias
-
 
 def run_workload(workload: Workload, config: Optional[SpecConfig] = None,
                  check_output: bool = True,

@@ -87,8 +87,7 @@ def test_parallel_campaign_bit_identical():
 
 @pytest.mark.faultinject
 def test_parallel_campaign_with_adversary():
-    """The named adversarial transforms are picklable, so the parallel
-    path accepts them too."""
+    """The parallel path runs an adversarial profile transform too."""
     kwargs = dict(workload_names=["parser"], scenarios=("poison",),
                   seeds=(0,), profile_transform=ADVERSARIES["invert"])
     seq = run_campaign(jobs=1, **kwargs)
@@ -121,3 +120,16 @@ def test_uninjected_scenario_none_is_clean_for_spec_workloads():
                           scenarios=("none",), seeds=(0,))
     assert report.ok
     assert all(r.deferred_faults == 0 for r in report.runs)
+
+
+@pytest.mark.faultinject
+def test_parallel_campaign_accepts_an_unpicklable_transform():
+    """Workers only simulate prepared programs, so the profile transform
+    never crosses a process boundary — a lambda works on both paths."""
+    kwargs = dict(workload_names=["parser"], scenarios=("poison",),
+                  seeds=(0, 1), profile_transform=lambda p: p)
+    seq = run_campaign(jobs=1, **kwargs)
+    par = run_campaign(jobs=2, force_parallel=True, **kwargs)
+    assert par.parallel_taken
+    assert [vars(r) for r in par.runs] == [vars(r) for r in seq.runs]
+    assert par.degraded == seq.degraded

@@ -52,6 +52,27 @@ def test_run_dump_ir(program_file, capsys):
     assert "[advance]" in out and "[check]" in out
 
 
+def test_run_dump_ir_compiles_once(program_file, capsys, monkeypatch):
+    """The dumped IR is the simulated program: one compile, at the
+    requested --fuel (a fuel no other test uses, so the process-wide
+    compile cache cannot already hold the key)."""
+    from repro.pipeline import PassManager
+
+    compiles = []
+    real = PassManager.compile
+
+    def counting(self, *args, **kwargs):
+        compiles.append(self.fuel)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PassManager, "compile", counting)
+    rc = main(["run", program_file, "--dump-ir", "--fuel", "4242421",
+               "--train", "0", "--ref", "0"])
+    assert rc == 0
+    assert "[advance]" in capsys.readouterr().out
+    assert compiles == [4242421]
+
+
 def test_compare_table(program_file, capsys):
     rc = main(["compare", program_file, "--train", "0", "--ref", "0"])
     assert rc == 0

@@ -10,7 +10,8 @@ import pytest
 
 from repro.core import SpecConfig
 from repro.pipeline import (PASS_REGISTRY, AnalysisManager, CompileCache,
-                            compile_and_run, compile_program, default_cache)
+                            OutputMismatch, compile_and_run, compile_program,
+                            default_cache, reference_output)
 from repro.pipeline.passes.base import FunctionPass
 from repro.target import run_program
 from repro.workloads import get_workload
@@ -190,3 +191,88 @@ def test_compiler_fingerprint_stamps_content_keys():
                            True) != key
     finally:
         cache_mod.compiler_fingerprint = original
+
+
+# ---------------------------------------------------------------------------
+# the memoized oracle (reference interpreter output)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Count the driver's oracle interpretations.  Swapping the seam
+    also changes every oracle key, so no entry from an earlier test can
+    answer for this one."""
+    from repro.pipeline import driver
+
+    calls = []
+    real = driver.run_module
+
+    def counting(module, **kwargs):
+        calls.append(kwargs)
+        return real(module, **kwargs)
+
+    monkeypatch.setattr(driver, "run_module", counting)
+    return calls
+
+
+def test_figure_configs_share_one_oracle_run(oracle_calls):
+    """The five figure configurations of one workload interpret the
+    unoptimized program once between them."""
+    from repro.workloads import run_workload
+
+    w = get_workload("mcf")
+    for config in (SpecConfig.base(), SpecConfig.profile(),
+                   SpecConfig.heuristic(), SpecConfig.static(),
+                   SpecConfig.aggressive()):
+        result = run_workload(w, config)
+        assert result.output == result.expected
+    assert len(oracle_calls) == 1
+
+
+def test_clear_and_cache_false_rerun_the_oracle(oracle_calls):
+    cache = CompileCache()
+    first = compile_and_run(SOURCE, SpecConfig.profile(), cache=cache)
+    compile_and_run(SOURCE, SpecConfig.base(), cache=cache)
+    assert len(oracle_calls) == 1
+    assert (cache.oracle_hits, cache.oracle_misses) == (1, 1)
+    # oracle lookups never move the compile counters the service reports
+    assert (cache.hits, cache.misses) == (0, 2)
+
+    cache.clear()
+    again = compile_and_run(SOURCE, SpecConfig.profile(), cache=cache)
+    assert len(oracle_calls) == 2
+    assert again.expected == first.expected
+
+    compile_and_run(SOURCE, SpecConfig.profile(), cache=False)
+    assert len(oracle_calls) == 3
+    stats = cache.stats()
+    assert (stats["oracle_hits"], stats["oracle_misses"]) == (1, 2)
+
+
+def test_swapped_run_module_never_gets_a_stale_output(monkeypatch):
+    from repro.pipeline import driver
+
+    cache = CompileCache()
+    real = compile_and_run(SOURCE, SpecConfig.base(), cache=cache)
+    monkeypatch.setattr(driver, "run_module",
+                        lambda module, **kwargs: ["not the output"])
+    with pytest.raises(OutputMismatch):
+        compile_and_run(SOURCE, SpecConfig.base(), cache=cache)
+    monkeypatch.undo()
+    # the original seam is back: its memoized output answers again
+    assert compile_and_run(SOURCE, SpecConfig.base(),
+                           cache=cache).expected == real.expected
+    assert cache.oracle_hits == 1
+
+
+def test_fuel_exhausted_oracle_is_not_memoized(oracle_calls):
+    from repro.errors import FuelExhausted
+
+    cache = CompileCache()
+    compiled = compile_program(SOURCE, SpecConfig.base(), cache=cache)
+    for attempt in (1, 2):
+        with pytest.raises(FuelExhausted):
+            reference_output(SOURCE, compiled.original, fuel=10,
+                             cache=cache)
+        assert len(oracle_calls) == attempt
+    assert cache.oracle_hits == 0

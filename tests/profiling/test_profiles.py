@@ -164,9 +164,9 @@ def test_edge_prob_zero_count_falls_back_to_uniform():
 
 
 def test_edge_prob_memo_matches_uncached_and_invalidates():
-    """prob()'s per-branch normalization sums are memoized; the memo
-    must be invisible (cached == recomputed-from-raw-counts) and must
-    drop the moment any edge counter is touched."""
+    """prob() equals the probability recomputed from the raw counts,
+    is stable across repeated queries, and sees an edge counter update
+    the moment it happens."""
     src = (
         "void main() { int i; for (i = 0; i < 10; i = i + 1) { print(i); } }"
     )

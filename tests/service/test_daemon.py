@@ -51,6 +51,31 @@ def test_ping_run_and_cache_flag(daemon):
         assert again["cached"] is True
 
 
+def test_repeated_run_requests_share_one_oracle_run(monkeypatch):
+    """Two identical ``run`` requests through the worker's handler
+    interpret the program once: the second answers from the memoized
+    oracle output, with an identical result."""
+    from repro.pipeline import driver
+
+    calls = []
+    real = driver.run_module
+
+    def counting(module, **kwargs):
+        calls.append(kwargs)
+        return real(module, **kwargs)
+
+    monkeypatch.setattr(driver, "run_module", counting)
+    monkeypatch.setattr(worker_mod, "_STORE", None)
+    req = {"op": "run", "source": SRC, "config": "profile", "train": [1],
+           "ref": [5]}
+    first = worker_mod.handle_request(dict(req, id=1))
+    second = worker_mod.handle_request(dict(req, id=2))
+    assert first["ok"] and second["ok"]
+    assert second["result"] == first["result"]
+    assert second["cached"] is True
+    assert len(calls) == 1
+
+
 def test_batch_array_gets_one_response_per_request(daemon):
     with _client(daemon) as client:
         responses = list(client.submit(
@@ -197,25 +222,8 @@ def test_daemon_side_timeout_ms_is_typed(daemon, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# stats round-trip; worker error hygiene
+# worker error hygiene
 # ---------------------------------------------------------------------------
-
-def test_daemon_stats_dict_round_trip():
-    from repro.service.daemon import DaemonStats
-
-    stats = DaemonStats()
-    stats.requests = 12
-    stats.shed = 3
-    stats.queue_depth_peak = 5
-    stats.by_op = {"run": 9, "ping": 3}
-    payload = stats.to_dict()
-    restored = DaemonStats.from_dict(payload)
-    again = restored.to_dict()
-    for name in DaemonStats._COUNTERS:
-        assert again[name] == payload[name]
-    assert again["by_op"] == payload["by_op"]
-    assert abs(again["uptime_s"] - payload["uptime_s"]) < 1.0
-
 
 def test_worker_unknown_error_type_is_downgraded_to_internal(
         daemon, monkeypatch):

@@ -18,7 +18,7 @@ from repro.core import SpecConfig
 from repro.pipeline import compile_program
 from repro.target.machine import ENGINES, MachineError, run_program
 from repro.workloads import all_workloads
-from repro.workloads.runner import _machine_kwargs
+from repro.workloads.runner import machine_kwargs
 
 _WORKLOADS = {w.name: w for w in all_workloads()}
 
@@ -33,7 +33,7 @@ def _compiled(name):
 @pytest.mark.parametrize("name", ["art", "ammp", "equake", "gzip"])
 def test_engines_bit_identical(name):
     program, inputs = _compiled(name)
-    kwargs = _machine_kwargs()
+    kwargs = machine_kwargs()
     runs = {}
     for engine in ENGINES:
         stats, output = run_program(program, inputs, engine=engine,
@@ -57,10 +57,10 @@ def test_engines_bit_identical(name):
 
 def test_engine_selection_via_overrides():
     program, inputs = _compiled("art")
-    base = run_program(program, inputs, **_machine_kwargs())
+    base = run_program(program, inputs, **machine_kwargs())
     via_override = run_program(
         program, inputs,
-        machine_overrides={"engine": "classic"}, **_machine_kwargs())
+        machine_overrides={"engine": "classic"}, **machine_kwargs())
     assert via_override[1] == base[1]
     assert via_override[0].to_dict() == base[0].to_dict()
 

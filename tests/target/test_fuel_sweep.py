@@ -17,7 +17,7 @@ from repro.core import SpecConfig
 from repro.pipeline import compile_program
 from repro.target import machine_trace
 from repro.target.machine import ENGINES, MachineFuelExhausted, run_program
-from repro.workloads.runner import _machine_kwargs
+from repro.workloads.runner import machine_kwargs
 
 pytestmark = pytest.mark.trace_engine
 
@@ -41,7 +41,7 @@ _MAX_FUEL = 400
 def _outcome(program, fuel, engine):
     try:
         stats, output = run_program(program, [], fuel=fuel, engine=engine,
-                                    **_machine_kwargs())
+                                    **machine_kwargs())
     except MachineFuelExhausted as exc:
         return ("fuel", exc.function, exc.instruction, exc.instructions,
                 str(exc))
@@ -64,6 +64,6 @@ def test_fuel_sweep_engines_agree(monkeypatch):
 
     # and the trace engine really took the deopt paths under test
     stats, _ = run_program(program, [], fuel=_MAX_FUEL, engine="trace",
-                           **_machine_kwargs())
+                           **machine_kwargs())
     assert stats.traces_compiled > 0
     assert stats.side_exits > 0

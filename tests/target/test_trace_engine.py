@@ -30,7 +30,7 @@ from repro.pipeline import compile_program
 from repro.target import machine_trace, run_program
 from repro.workloads import all_workloads, get_workload
 from repro.workloads.fuzz import random_program
-from repro.workloads.runner import _machine_kwargs
+from repro.workloads.runner import machine_kwargs
 
 pytestmark = pytest.mark.trace_engine
 
@@ -51,7 +51,7 @@ def _compiled_source(source, config=None, train_inputs=()):
 
 def _run(program, inputs, engine):
     return run_program(program, inputs=inputs, engine=engine,
-                       **_machine_kwargs())
+                       **machine_kwargs())
 
 
 def _assert_identical(program, inputs):
