@@ -27,7 +27,7 @@ sparse Gaussian elimination with partial pivoting, falling back to
 damped Gauss–Seidel iteration when the system is (near-)singular (e.g. a
 probability-1 cycle).  The result, a :class:`ProbAliasInfo`, answers
 "how likely does this load/store touch that location" per reference
-site; :class:`repro.ssa.spec.StaticSource` turns the answers into
+site; :func:`repro.ssa.spec.make_static_flagger` turns the answers into
 speculation flags under a tunable threshold.
 """
 

@@ -102,13 +102,21 @@ def _workload_list(text: str) -> List[str]:
     return names
 
 
-def _parse_inputs(text: Optional[str]) -> List[float]:
-    if not text:
-        return []
+def _parse_inputs(text: str) -> List[float]:
+    """argparse ``type=`` for ``--train``/``--ref``: comma-separated
+    numbers, each an int if it reads as one, else a float; anything
+    else is a usage error (exit 2)."""
     out: List[float] = []
-    for part in text.split(","):
+    for part in text.split(",") if text else ():
         part = part.strip()
-        out.append(float(part) if "." in part else int(part))
+        try:
+            out.append(int(part))
+        except ValueError:
+            try:
+                out.append(float(part))
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"not a number: {part!r}") from None
     return out
 
 
@@ -155,14 +163,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         machine_kwargs["injector"] = make_injector(args.inject,
                                                    args.inject_seed)
     compiled = compile_program(source, config,
-                               train_inputs=_parse_inputs(args.train),
+                               train_inputs=args.train,
                                fuel=args.fuel, cache=True)
     if args.dump_ir:
         from .ir import format_module
 
         print(format_module(compiled.optimized))
         print()
-    result = run_compiled(compiled, source, _parse_inputs(args.ref),
+    result = run_compiled(compiled, source, args.ref,
                           check_output=not args.no_check, fuel=args.fuel,
                           machine_kwargs=machine_kwargs)
     for d in result.diagnostics:
@@ -209,12 +217,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     source = _read_source(args.file)
-    train = _parse_inputs(args.train)
-    ref = _parse_inputs(args.ref)
     base = compile_and_run(source, SpecConfig.base(),
-                           train_inputs=train, ref_inputs=ref)
+                           train_inputs=args.train, ref_inputs=args.ref)
     spec = compile_and_run(source, resolve_config(args.config),
-                           train_inputs=train, ref_inputs=ref)
+                           train_inputs=args.train, ref_inputs=args.ref)
     comparison = Comparison(args.file, base, spec)
     print(format_table([comparison.row()]))
     return 0
@@ -323,9 +329,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                                  sort_keys=True))
                 return 0
             req = {"op": args.op, "source": source, "config": args.config,
-                   "train": _parse_inputs(args.train)}
+                   "train": args.train}
             if args.op == "run":
-                req["ref"] = _parse_inputs(args.ref)
+                req["ref"] = args.ref
             if args.timeout_ms:
                 req["timeout_ms"] = args.timeout_ms
             resp = client.request(req)
@@ -391,8 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "or the frozen classic baseline — identical "
                           "output and architectural counters on all "
                           "three")
-    run.add_argument("--train", help="comma-separated train inputs")
-    run.add_argument("--ref", help="comma-separated ref inputs")
+    run.add_argument("--train", type=_parse_inputs, default=[],
+                     help="comma-separated train inputs")
+    run.add_argument("--ref", type=_parse_inputs, default=[],
+                     help="comma-separated ref inputs")
     run.add_argument("--dump-ir", action="store_true")
     run.add_argument("--no-check", action="store_true",
                      help="skip the interpreter oracle")
@@ -420,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("file")
     compare.add_argument("--config", choices=available_configs(),
                          default="profile")
-    compare.add_argument("--train")
-    compare.add_argument("--ref")
+    compare.add_argument("--train", type=_parse_inputs, default=[])
+    compare.add_argument("--ref", type=_parse_inputs, default=[])
     compare.set_defaults(fn=_cmd_compare)
 
     workloads = sub.add_parser("workloads",
@@ -540,8 +548,10 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--config", default="profile",
                         help="registry config spec, composable: e.g. "
                              "profile+superblock (docs/service.md)")
-    submit.add_argument("--train", help="comma-separated train inputs")
-    submit.add_argument("--ref", help="comma-separated ref inputs")
+    submit.add_argument("--train", type=_parse_inputs, default=[],
+                        help="comma-separated train inputs")
+    submit.add_argument("--ref", type=_parse_inputs, default=[],
+                        help="comma-separated ref inputs")
     submit.add_argument("--timeout", type=float, default=120.0,
                         help="client-side socket deadline (seconds)")
     submit.add_argument("--timeout-ms", type=float, default=None,

@@ -83,7 +83,7 @@ class SpecConfig:
     @property
     def spec_source(self) -> str:
         """The wire name of the speculation-flag provenance
-        (:class:`repro.ssa.spec.SpecSource` implementations)."""
+        (a :class:`repro.ssa.spec.SpecMode` value)."""
         return self.mode.value
 
     @property

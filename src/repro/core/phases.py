@@ -6,9 +6,9 @@ reduction) → LFTR → DCE.  This module is the decomposed form: each
 phase is one :class:`Phase` record — a name, a gate deciding whether a
 :class:`~repro.core.config.SpecConfig` enables it, and a runner over
 the shared :class:`~repro.core.engine.PREContext`.  The pipeline's pass
-manager (:mod:`repro.pipeline.passes`) wraps every phase as a
-registered ``FunctionPass``; ``optimize_function`` itself is now a thin
-loop over :func:`phases_for`.
+manager (:mod:`repro.pipeline.passes`) builds one entry of its pass
+table from every phase; ``optimize_function`` itself is a thin loop
+over :func:`phases_for`.
 
 All phases of one function share **one** ``PREContext`` — strength
 reduction's injury records feed LFTR through ``ctx.sr_records``, and

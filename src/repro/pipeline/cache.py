@@ -23,10 +23,9 @@ The key covers everything that can change the produced program:
   swap — or a restore — must change the key, never alias a stale
   result.
 
-Calls carrying per-call observers or state (``dumps``,
-``profile_transform``, a shared ``analyses`` manager) bypass the cache
-entirely — their side effects are the point of the call — and are
-tallied in :attr:`CompileCache.bypasses`.
+Calls carrying per-call observers (``dumps``, ``profile_transform``)
+bypass the cache entirely — their side effects are the point of the
+call — and are tallied in :attr:`CompileCache.bypasses`.
 
 A second bounded store memoizes the **oracle**: the reference
 interpreter's output that :func:`~repro.pipeline.reference_output`
@@ -66,7 +65,7 @@ def compiler_fingerprint() -> str:
     Deliberately made of stable strings, never ``id()``s: two processes
     running the same build must agree."""
     from .. import __version__
-    from .passes.base import PASS_REGISTRY
+    from .passes.registry import PASS_REGISTRY
 
     return repr((__version__, tuple(sorted(PASS_REGISTRY))))
 
@@ -133,7 +132,7 @@ class CompileCache:
         """The content key for one compile request (see the module
         docstring for what it covers)."""
         from . import driver
-        from .passes.base import PASS_REGISTRY
+        from .passes.registry import PASS_REGISTRY
 
         h = hashlib.sha256()
         h.update(content_key(source, config, train_inputs, fuel,

@@ -2,10 +2,11 @@
 SSAPRE → machine code → simulation.
 
 The pipeline itself lives in the pass manager
-(:mod:`repro.pipeline.passes`, docs/pipeline.md): typed passes
-assembled declaratively from the :class:`~repro.core.SpecConfig`,
-cached analyses, the fail-safe fallback ladder (docs/recovery.md) as
-pipeline truncations, and per-pass timing (``--time-passes``).  This
+(:mod:`repro.pipeline.passes`, docs/pipeline.md): a table of named
+pass functions assembled declaratively from the
+:class:`~repro.core.SpecConfig`, cached analyses, the fail-safe
+fallback ladder (docs/recovery.md) as pipeline truncations, and
+per-pass timing (``--time-passes``).  This
 module keeps the entry points the rest of the repository — tests,
 benchmarks, CLI, fuzzers — calls:
 
@@ -38,7 +39,6 @@ from ..profiling import (collect_alias_profile,  # noqa: F401 — seams
 from ..ssa import verify_ssa  # noqa: F401 — seam (see module docstring)
 from ..target import run_program
 from .cache import CompileCache, default_cache
-from .passes.analysis import AnalysisManager
 from .passes.manager import PassManager
 from .results import CompileResult, Diagnostic  # noqa: F401 — re-export
 from .results import OutputMismatch, RunResult
@@ -66,7 +66,6 @@ def compile_program(source: str, config: Optional[SpecConfig] = None,
                     dumps=None,
                     profile_transform: Optional[Callable] = None,
                     failsafe: bool = True,
-                    analyses: Optional[AnalysisManager] = None,
                     cache: CacheArg = None) -> CompileResult:
     """Compile ``source`` (no simulation).
 
@@ -79,16 +78,15 @@ def compile_program(source: str, config: Optional[SpecConfig] = None,
     pass crashes and verifier failures degrade the affected function
     down the fallback ladder and are recorded in
     :attr:`CompileResult.diagnostics`; with ``failsafe=False`` they
-    raise.  Pass a shared :class:`~repro.pipeline.passes.AnalysisManager`
-    as ``analyses`` to reuse cached analyses across compiles; by default
-    each call gets a fresh cache (ladder retries within the compile
-    still hit it).
+    raise.  Each compile caches its analyses in a fresh
+    :class:`~repro.pipeline.passes.AnalysisManager`
+    (:attr:`CompileResult.analyses`), so ladder retries reuse them.
 
     Pass a :class:`~repro.pipeline.CompileCache` (or ``True`` for the
     process-wide one) as ``cache`` to memoize the whole compile under
     its content key; calls carrying per-call observers (``dumps``,
-    ``profile_transform``, a shared ``analyses``) bypass the cache —
-    their side effects are the point of the call."""
+    ``profile_transform``) bypass the cache — their side effects are
+    the point of the call."""
     config = config or SpecConfig.base()
     if not config.needs_train_run:
         # the no-train-run path: profile-free configs (base, heuristic,
@@ -98,8 +96,7 @@ def compile_program(source: str, config: Optional[SpecConfig] = None,
     memo = _resolve_cache(cache, default=None)
     key = None
     if memo is not None:
-        if (dumps is not None or profile_transform is not None
-                or analyses is not None):
+        if dumps is not None or profile_transform is not None:
             memo.bypasses += 1
             memo = None
         else:
@@ -109,8 +106,7 @@ def compile_program(source: str, config: Optional[SpecConfig] = None,
             if cached is not None:
                 return cached
     manager = PassManager(config, failsafe=failsafe, dumps=dumps, fuel=fuel,
-                          profile_transform=profile_transform,
-                          analyses=analyses)
+                          profile_transform=profile_transform)
     result = manager.compile(source, train_inputs)
     if memo is not None:
         memo.put(key, result)

@@ -61,14 +61,6 @@ def record_module(sink: Optional[DumpSink], phase: str, module) -> None:
     sink.add(phase, format_module(module))
 
 
-def record_ssa(sink: Optional[DumpSink], phase: str, ssa) -> None:
-    if sink is None:
-        return
-    from ..ssa import format_ssa
-
-    sink.add(phase, format_ssa(ssa))
-
-
 def record_machine(sink: Optional[DumpSink], phase: str, program) -> None:
     if sink is None:
         return

@@ -1,26 +1,22 @@
 """The pass-manager architecture (docs/pipeline.md).
 
-Typed passes (:mod:`~repro.pipeline.passes.base`), the registry the
-pipeline instantiates them from, the analysis cache
+The pass table (:mod:`~repro.pipeline.passes.registry`: pass name →
+plain function), the per-compile analysis cache
 (:mod:`~repro.pipeline.passes.analysis`), per-pass instrumentation
-(:mod:`~repro.pipeline.passes.timing`), the built-in passes
-(:mod:`~repro.pipeline.passes.adapters`) and the manager that drives
-them (:mod:`~repro.pipeline.passes.manager`).
+(:mod:`~repro.pipeline.passes.timing`) and the manager that runs them
+(:mod:`~repro.pipeline.passes.manager`).
 """
 
 from .analysis import AnalysisManager
-from .base import (PASS_REGISTRY, FunctionPass, MachinePass, ModulePass,
-                   Pass, create_pass, register_pass, registered_passes)
+from .registry import PASS_REGISTRY
 from .timing import PassTiming, PassTrace
-from . import adapters  # noqa: F401 — registers the built-in passes
 from .manager import (LADDER, FunctionOutcome, FunctionState, MachineState,
-                      ModuleState, PassManager, PipelinePlan, Rung,
-                      function_pass_names, ladder_plans, rung_config)
+                      ModuleState, PassManager, Rung, function_pass_names,
+                      ladder_plans, rung_config)
 
 __all__ = [
-    "AnalysisManager", "FunctionOutcome", "FunctionPass", "FunctionState",
-    "LADDER", "MachinePass", "MachineState", "ModulePass", "ModuleState",
-    "PASS_REGISTRY", "Pass", "PassManager", "PassTiming", "PassTrace",
-    "PipelinePlan", "Rung", "create_pass", "function_pass_names",
-    "ladder_plans", "register_pass", "registered_passes", "rung_config",
+    "AnalysisManager", "FunctionOutcome", "FunctionState", "LADDER",
+    "MachineState", "ModuleState", "PASS_REGISTRY", "PassManager",
+    "PassTiming", "PassTrace", "Rung", "function_pass_names",
+    "ladder_plans", "rung_config",
 ]

@@ -6,27 +6,28 @@ instrumentation.
 
 * the pipeline is assembled **declaratively** from the
   :class:`~repro.core.SpecConfig` — :func:`function_pass_names` maps a
-  config to the pass sequence it enables, and the fallback ladder's
-  rungs (:data:`LADDER`) are *truncations* of that sequence (drop the
-  named passes, flip the matching config flags) rather than opaque
-  config lambdas;
-* per-function and module-level analyses go through one shared
-  :class:`~repro.pipeline.passes.analysis.AnalysisManager`, so a
-  ladder retry rebuilds SSA without recomputing alias info, dominance
-  or points-to, and profiles are collected once;
+  config to the pass names it enables, and the fallback ladder's rungs
+  (:data:`LADDER`) are *truncations* of that sequence (drop the named
+  passes, flip the matching config flags) rather than opaque config
+  lambdas;
+* every pass is a plain function looked up by name in
+  :data:`~repro.pipeline.passes.registry.PASS_REGISTRY` when it runs,
+  and one instrumented runner (:func:`_timed`) times and measures it
+  (statements/loads/stores before and after) into a
+  :class:`~repro.pipeline.passes.timing.PassTrace` — the
+  ``--time-passes`` report and the machine-readable JSON trace;
+* per-function and module-level analyses go through one
+  :class:`~repro.pipeline.passes.analysis.AnalysisManager` per compile,
+  so a ladder retry rebuilds SSA without recomputing alias info,
+  dominance or points-to;
 * functions compile in module order; each buffers its outcome — SSA,
   stats, diagnostics, dumps, timings — so the dumps of failed ladder
-  rungs are discarded before the manager merges the buffers;
-* every pass invocation is timed and measured (statements/loads/stores
-  before and after) into a
-  :class:`~repro.pipeline.passes.timing.PassTrace` — the
-  ``--time-passes`` report and the machine-readable JSON trace.
+  rungs are discarded before the manager merges the buffers.
 
 The fail-safe guards (docs/recovery.md) live here: the manager wraps
 pass execution, records :class:`~repro.pipeline.results.Diagnostic`
 entries for absorbed failures, and walks the ladder.  Passes themselves
-stay oblivious — and must be **stateless**, because one instance per
-plan is shared across every function of the module.
+stay oblivious.
 """
 
 from __future__ import annotations
@@ -45,21 +46,11 @@ from ...ssa import SpecMode, format_ssa, ssa_counts
 from ...target import compile_function
 from ..dumps import record_machine, record_module
 from ..results import CompileResult, Diagnostic
-from . import adapters  # noqa: F401 — registers the built-in passes
 from .analysis import AnalysisManager
-from .base import Pass, create_pass
-from .timing import PassTiming, PassTrace
+from .registry import PASS_REGISTRY
+from .timing import Counts, PassTiming, PassTrace
 
 _MODULE_RUNG = "-"      # rung label for module/machine-scope records
-
-
-def _driver():
-    """The driver module, late-bound: ``collect_alias_profile``,
-    ``collect_edge_profile`` and ``verify_ssa`` are looked up through it
-    at call time so its module globals stay usable as test seams."""
-    from .. import driver
-
-    return driver
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +63,6 @@ class ModuleState:
     """Module-scope pipeline state."""
 
     module: Module
-    config: SpecConfig
-    analyses: AnalysisManager
     #: successfully optimized functions, in module order
     ssa_functions: List = field(default_factory=list)
     #: the out-of-SSA module (set by ``lower-module``)
@@ -120,7 +109,7 @@ class MachineState:
     ``superblock-form`` to ``superblock-schedule``/``superblock-layout``."""
 
     optimized: Module
-    config: Optional[SpecConfig] = None
+    config: SpecConfig
     program: object = None
     mfn: object = None
     edge_profile: object = None
@@ -172,31 +161,16 @@ def rung_config(config: SpecConfig, rung: Rung) -> SpecConfig:
     return config.but(**changes)
 
 
-@dataclass(frozen=True)
-class PipelinePlan:
-    """An instantiated per-function pipeline for one ladder rung."""
-
-    rung: str
-    config: SpecConfig
-    passes: Tuple[Pass, ...]
+#: one ladder rung's per-function pipeline: (rung, config, pass names)
+Plan = Tuple[str, SpecConfig, List[str]]
 
 
-def _plan(rung_name: str, config: SpecConfig) -> PipelinePlan:
-    return PipelinePlan(rung_name, config,
-                        tuple(create_pass(name)
-                              for name in function_pass_names(config)))
-
-
-def ladder_plans(config: SpecConfig,
-                 failsafe: bool = True) -> List[PipelinePlan]:
-    """The per-function plans to try, strongest first.  Passes are
-    instantiated **by registry name here**, so a monkeypatched
-    ``PASS_REGISTRY`` entry is what every rung actually runs."""
-    plans = [_plan("as-configured", config)]
+def ladder_plans(config: SpecConfig, failsafe: bool = True) -> List[Plan]:
+    """The per-function plans to try, strongest first."""
+    rungs = [("as-configured", config)]
     if failsafe:
-        plans += [_plan(rung.name, rung_config(config, rung))
-                  for rung in LADDER]
-    return plans
+        rungs += [(rung.name, rung_config(config, rung)) for rung in LADDER]
+    return [(name, cfg, function_pass_names(cfg)) for name, cfg in rungs]
 
 
 @dataclass
@@ -214,6 +188,50 @@ class FunctionOutcome:
 
 
 # ---------------------------------------------------------------------------
+# Instrumented pass execution
+# ---------------------------------------------------------------------------
+
+
+def _timed(name: str, kind: str, function: Optional[str], rung: str,
+           measure: Callable[[object], Counts], state,
+           sink: List[PassTiming]) -> None:
+    """Run the pass ``name`` over ``state`` and append its
+    :class:`PassTiming` to ``sink``: wall time, and ``measure(state)``
+    before and after (a failed run records ``before`` twice, then
+    re-raises).  The pass is looked up in :data:`PASS_REGISTRY` here,
+    so a monkeypatched entry is what actually runs."""
+    run = PASS_REGISTRY[name]
+    before = measure(state)
+    start = time.perf_counter()
+    try:
+        run(state)
+    except Exception:
+        sink.append(PassTiming(name, kind, function, rung,
+                               time.perf_counter() - start,
+                               before, before, failed=True))
+        raise
+    sink.append(PassTiming(name, kind, function, rung,
+                           time.perf_counter() - start,
+                           before, measure(state)))
+
+
+def _module_counts(state: ModuleState) -> Counts:
+    return state.current_module.counts()
+
+
+def _ssa_counts(state: FunctionState) -> Counts:
+    return ssa_counts(state.ssa) if state.ssa is not None else (0, 0, 0)
+
+
+def _machine_counts(state: MachineState) -> Counts:
+    if state.mfn is not None:
+        return state.mfn.counts()
+    if state.program is not None:
+        return state.program.counts()
+    return (0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
 # The manager
 # ---------------------------------------------------------------------------
 
@@ -225,15 +243,13 @@ class PassManager:
     def __init__(self, config: Optional[SpecConfig] = None, *,
                  failsafe: bool = True, dumps=None,
                  fuel: int = 50_000_000,
-                 profile_transform: Optional[Callable] = None,
-                 analyses: Optional[AnalysisManager] = None) -> None:
+                 profile_transform: Optional[Callable] = None) -> None:
         self.config = config or SpecConfig.base()
         self.failsafe = failsafe
         self.dumps = dumps
         self.fuel = fuel
         self.profile_transform = profile_transform
-        self.analyses = analyses if analyses is not None \
-            else AnalysisManager()
+        self.analyses = AnalysisManager()
         self.trace = PassTrace()
         self.diagnostics: List[Diagnostic] = []
         self.degraded: Dict[str, str] = {}
@@ -242,9 +258,11 @@ class PassManager:
     def compile(self, source: str,
                 train_inputs: Sequence[float] = ()) -> CompileResult:
         """Compile ``source`` end to end (no simulation)."""
+        self.analyses = AnalysisManager()
         self.trace = PassTrace()
         self.diagnostics = []
         self.degraded = {}
+        records = self.trace.records
 
         # parse + lower; a parse failure is fatal even in fail-safe mode
         # (there is nothing to fall back to)
@@ -256,9 +274,9 @@ class PassManager:
         config, alias_profile, edge_profile = \
             self._collect_profiles(module, train_inputs)
 
-        mstate = ModuleState(module=module, config=config,
-                             analyses=self.analyses)
-        self._run_module_pass("split-critical-edges", mstate)
+        mstate = ModuleState(module=module)
+        _timed("split-critical-edges", "module", None, _MODULE_RUNG,
+               _module_counts, mstate, records)
 
         classifier = self._alias_classifier(module, config)
 
@@ -285,9 +303,11 @@ class PassManager:
             mstate.ssa_functions.append(outcome.ssa)
 
         # out-of-SSA + module re-verification guard
-        self._run_module_pass("lower-module", mstate)
+        _timed("lower-module", "module", None, _MODULE_RUNG,
+               _module_counts, mstate, records)
         try:
-            self._run_module_pass("verify-module", mstate)
+            _timed("verify-module", "module", None, _MODULE_RUNG,
+                   _module_counts, mstate, records)
         except Exception as exc:  # noqa: BLE001 - the guard IS the point
             if not self.failsafe:
                 raise
@@ -303,7 +323,8 @@ class PassManager:
         # codegen + scheduling + machine verification guard
         machine = MachineState(optimized=optimized, config=config,
                                edge_profile=edge_profile)
-        self._run_machine_pass("codegen", machine)
+        _timed("codegen", "machine", None, _MODULE_RUNG, _machine_counts,
+               machine, records)
         if config.schedule:
             sched_passes = ("superblock-form", "superblock-schedule",
                             "superblock-layout") \
@@ -313,7 +334,9 @@ class PassManager:
                 machine.traces = None
                 try:
                     for pass_name in sched_passes:
-                        self._run_machine_pass(pass_name, machine)
+                        _timed(pass_name, "machine", mfn.name,
+                               _MODULE_RUNG, _machine_counts, machine,
+                               records)
                 except Exception as exc:  # noqa: BLE001
                     if not self.failsafe:
                         raise
@@ -326,7 +349,8 @@ class PassManager:
             machine.mfn = None
             machine.traces = None
         try:
-            self._run_machine_pass("verify-machine", machine)
+            _timed("verify-machine", "machine", None, _MODULE_RUNG,
+                   _machine_counts, machine, records)
         except Exception as exc:  # noqa: BLE001
             if not self.failsafe:
                 raise
@@ -353,9 +377,12 @@ class PassManager:
                           train_inputs: Sequence[float]):
         """Train runs.  A broken train run only costs the profiles: the
         manager degrades to profile-free configurations and keeps
-        compiling (unless ``failsafe=False``)."""
+        compiling (unless ``failsafe=False``).  The profilers are looked
+        up through the driver module at call time, so its globals stay
+        usable as test seams."""
+        from .. import driver
+
         config = self.config
-        driver = _driver()
         alias_profile = None
         edge_profile = None
         scope = (id(module), tuple(train_inputs), self.fuel)
@@ -420,17 +447,17 @@ class PassManager:
         dumps of failed rungs are discarded."""
         outcome = FunctionOutcome(fn.name)
         want_dumps = self.dumps is not None
-        for index, plan in enumerate(plans):
+        for index, (rung, config, names) in enumerate(plans):
             fstate = FunctionState(
-                module=module, fn=fn, config=plan.config,
+                module=module, fn=fn, config=config,
                 classifier=classifier, analyses=self.analyses,
                 alias_profile=alias_profile, edge_profile=edge_profile)
             rung_dumps: List[Tuple[str, str]] = []
             try:
-                for p in plan.passes:
-                    self._run_function_pass(p, fstate, plan.rung,
-                                            outcome.timings)
-                    if want_dumps and p.name == "build-ssa":
+                for name in names:
+                    _timed(name, "function", fn.name, rung, _ssa_counts,
+                           fstate, outcome.timings)
+                    if want_dumps and name == "build-ssa":
                         # snapshot taken BEFORE any optimization runs
                         rung_dumps.append((f"speculative-ssa {fn.name}",
                                            format_ssa(fstate.ssa)))
@@ -440,79 +467,19 @@ class PassManager:
             except Exception as exc:  # noqa: BLE001 - the guard IS the point
                 if not self.failsafe:
                     raise
-                next_rung = plans[index + 1].rung \
+                next_rung = plans[index + 1][0] \
                     if index + 1 < len(plans) else None
                 outcome.diagnostics.append(Diagnostic(
                     "optimize", fn.name,
-                    f"{type(exc).__name__}: {exc} (at {plan.rung!r})",
+                    f"{type(exc).__name__}: {exc} (at {rung!r})",
                     f"retry at ladder rung {next_rung!r}"
                     if next_rung is not None
                     else "keep unoptimized original"))
                 continue
             outcome.ssa = fstate.ssa
             outcome.stats = fstate.stats
-            outcome.rung = plan.rung
+            outcome.rung = rung
             outcome.dumps = rung_dumps
             return outcome
         outcome.rung = "unoptimized"
         return outcome
-
-    # ---- instrumented pass execution -------------------------------------
-    def _run_function_pass(self, p: Pass, state: FunctionState, rung: str,
-                           sink: List[PassTiming]) -> None:
-        before = ssa_counts(state.ssa) if state.ssa is not None \
-            else (0, 0, 0)
-        start = time.perf_counter()
-        try:
-            p.run(state)
-        except Exception:
-            sink.append(PassTiming(p.name, p.kind, state.fn.name, rung,
-                                   time.perf_counter() - start,
-                                   before, before, failed=True))
-            raise
-        after = ssa_counts(state.ssa) if state.ssa is not None else before
-        sink.append(PassTiming(p.name, p.kind, state.fn.name, rung,
-                               time.perf_counter() - start, before, after))
-        self.analyses.apply_invalidations(p.invalidates)
-
-    def _run_module_pass(self, name: str, state: ModuleState) -> None:
-        p = create_pass(name)
-        before = state.current_module.counts()
-        start = time.perf_counter()
-        try:
-            p.run(state)
-        except Exception:
-            self.trace.add(PassTiming(p.name, p.kind, None, _MODULE_RUNG,
-                                      time.perf_counter() - start,
-                                      before, before, failed=True))
-            self.analyses.apply_invalidations(p.invalidates)
-            raise
-        self.trace.add(PassTiming(p.name, p.kind, None, _MODULE_RUNG,
-                                  time.perf_counter() - start, before,
-                                  state.current_module.counts()))
-        self.analyses.apply_invalidations(p.invalidates)
-
-    def _measure_machine(self, state: MachineState):
-        if state.mfn is not None:
-            return state.mfn.counts()
-        if state.program is not None:
-            return state.program.counts()
-        return (0, 0, 0)
-
-    def _run_machine_pass(self, name: str, state: MachineState) -> None:
-        p = create_pass(name)
-        function = state.mfn.name if state.mfn is not None else None
-        before = self._measure_machine(state)
-        start = time.perf_counter()
-        try:
-            p.run(state)
-        except Exception:
-            self.trace.add(PassTiming(p.name, p.kind, function,
-                                      _MODULE_RUNG,
-                                      time.perf_counter() - start,
-                                      before, before, failed=True))
-            raise
-        self.trace.add(PassTiming(p.name, p.kind, function, _MODULE_RUNG,
-                                  time.perf_counter() - start, before,
-                                  self._measure_machine(state)))
-        self.analyses.apply_invalidations(p.invalidates)

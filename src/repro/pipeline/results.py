@@ -99,18 +99,6 @@ class RunResult:
     #: per-pass wall-time + IR-delta records from compilation
     pass_trace: Optional["PassTrace"] = None
 
-    @property
-    def total_checks(self) -> int:
-        return self.stats.check_loads
-
-    @property
-    def trace_counters(self) -> Dict[str, int]:
-        """The trace engine's dispatch-machinery counters
-        (``traces_compiled``/``trace_hits``/``side_exits``/
-        ``trace_dyn_instr``) — all zero unless the run simulated with
-        ``engine="trace"`` (docs/performance.md)."""
-        return self.stats.engine_dict()
-
 
 @dataclass
 class Comparison:

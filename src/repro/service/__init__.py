@@ -36,15 +36,13 @@ from .loadgen import LoadReport, run_load
 from .persist import CacheStore
 from .protocol import ProtocolError, request_key, validate_request, \
     validate_response
-from .registry import available_configs, register_config, \
-    register_modifier, resolve_config
+from .registry import available_configs, resolve_config
 
 __all__ = [
     "Backoff", "CacheStore", "CircuitBreaker",
     "Daemon", "DaemonThread", "LoadReport", "ProtocolError",
     "RetryPolicy", "ServiceClient", "ServiceClosed", "ServiceError",
     "ServiceTimeout", "ServiceUnavailable",
-    "available_configs", "register_config", "register_modifier",
-    "request_key", "resolve_config", "run_daemon", "run_load",
+    "available_configs", "request_key", "resolve_config", "run_daemon", "run_load",
     "validate_request", "validate_response", "wait_ready",
 ]

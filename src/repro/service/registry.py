@@ -9,10 +9,6 @@ named modifiers composed onto them with ``+``::
     resolve_config("profile")              # SpecConfig.profile()
     resolve_config("profile+superblock")   # ... .but(scheduler="superblock")
     resolve_config("heuristic+noedge+nochecks")
-
-Embedders extend both namespaces (:func:`register_config` /
-:func:`register_modifier`); a daemon restart is not needed — resolution
-happens per request.
 """
 
 from __future__ import annotations
@@ -77,18 +73,6 @@ def resolve_config(spec: str) -> SpecConfig:
                 f"unknown config modifier {mod!r} (known: "
                 f"{', '.join(sorted(MODIFIERS))})") from None
     return config
-
-
-def register_config(name: str,
-                    factory: Callable[[], SpecConfig]) -> None:
-    """Add (or replace) a named base configuration."""
-    CONFIG_FACTORIES[name] = factory
-
-
-def register_modifier(name: str,
-                      fn: Callable[[SpecConfig], SpecConfig]) -> None:
-    """Add (or replace) a named modifier."""
-    MODIFIERS[name] = fn
 
 
 def available_configs() -> List[str]:

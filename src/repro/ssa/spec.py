@@ -1,43 +1,43 @@
 """Speculation-flag assignment — turning HSSA into *speculative* SSA.
 
-"Where do speculation flags come from" is a first-class, pluggable axis:
-a :class:`SpecSource` builds the *flagger* that runs after µ/χ lists are
-created but before φ insertion/renaming (the paper's Figure 4 ordering),
-and may both flip ``likely`` flags and append missing µ/χ operands.
-Four sources ship:
+"Where do speculation flags come from" is a first-class axis, selected
+by a :class:`SpecMode`: :func:`flagger_for` returns the *flagger* that
+runs after µ/χ lists are created but before φ insertion/renaming (the
+paper's Figure 4 ordering), and may both flip ``likely`` flags and
+append missing µ/χ operands.  Four modes ship:
 
-* :class:`ProfileSource` (§3.2.1): an operand is *likely* (χs/µs) iff its
-  LOC was observed at that reference during the training run.  Members of
-  the profiled LOC set missing from a list are appended as likely operands
-  (this covers TBAA-unsound corner cases).  Virtual-variable operands are
-  flagged by intersecting the site's profiled LOCs with the LOCs ever
-  touched by the virtual variable's own references.
-* :class:`HeuristicSource` (§3.2.2): rule 1 — identical address syntax
-  trees are assumed to see the same value, so cross-shape virtual χs are
-  ignorable; rule 2 — direct references of one variable are assumed to see
-  the same value, so real-variable χs at indirect stores are ignorable;
-  rule 3 — call-statement side effects are always likely (χs), and call µ
-  lists stay untouched.
-* :class:`StaticSource`: profile-free — likeliness probabilities come
-  from :mod:`repro.analysis.prob_alias` (static branch heuristics +
-  probabilistic points-to, no training run), thresholded by a tunable
-  cutoff; raising the cutoff only *removes* likely marks.
-* :class:`NoSpecSource` leaves everything likely — classical HSSA, the
-  paper's O3+TBAA baseline behaviour (plus :class:`AggressiveSource`,
-  Figure 12's ignore-every-may-alias upper bound).
+* ``PROFILE`` (§3.2.1, :func:`make_profile_flagger`): an operand is
+  *likely* (χs/µs) iff its LOC was observed at that reference during the
+  training run.  Members of the profiled LOC set missing from a list are
+  appended as likely operands (this covers TBAA-unsound corner cases).
+  Virtual-variable operands are flagged by intersecting the site's
+  profiled LOCs with the LOCs ever touched by the virtual variable's own
+  references.
+* ``HEURISTIC`` (§3.2.2, :func:`heuristic_flagger`): rule 1 — identical
+  address syntax trees are assumed to see the same value, so cross-shape
+  virtual χs are ignorable; rule 2 — direct references of one variable
+  are assumed to see the same value, so real-variable χs at indirect
+  stores are ignorable; rule 3 — call-statement side effects are always
+  likely (χs), and call µ lists stay untouched.
+* ``STATIC`` (:func:`make_static_flagger`): profile-free — likeliness
+  probabilities come from :mod:`repro.analysis.prob_alias` (static
+  branch heuristics + probabilistic points-to, no training run),
+  thresholded by a tunable cutoff; raising the cutoff only *removes*
+  likely marks.
+* ``OFF`` (:func:`no_spec_flagger`) leaves everything likely — classical
+  HSSA, the paper's O3+TBAA baseline behaviour (plus ``AGGRESSIVE``,
+  :func:`aggressive_flagger`, Figure 12's ignore-every-may-alias upper
+  bound).
 
-:func:`flagger_for` keeps its historical signature and delegates to
-:func:`source_for` — the golden tests under ``tests/ssa/golden/`` pin the
-profile/heuristic flag assignments bit-for-bit across this dispatch.
+The golden tests under ``tests/ssa/golden/`` pin the profile and
+heuristic flag assignments bit-for-bit.
 """
 
 from __future__ import annotations
 
-import abc
 import enum
 from collections import defaultdict
-from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional,
-                    Set)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from ..analysis.aliasclass import FunctionAliasInfo
 from ..analysis.locs import Loc
@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: A flagger mutates µ/χ lists in place, pre-renaming.
 Flagger = Callable[[SSAFunction, FunctionAliasInfo], None]
 
-#: default probability cutoff of :class:`StaticSource` — an alias whose
+#: default probability cutoff of :func:`make_static_flagger` — an alias whose
 #: static probability reaches this is treated as real (binding)
 DEFAULT_STATIC_THRESHOLD = 0.5
 
@@ -309,118 +309,6 @@ def make_static_flagger(
     return flagger
 
 
-# ---- the SpecSource axis ----------------------------------------------------
-
-
-class SpecSource(abc.ABC):
-    """Where speculation flags come from.
-
-    A source is a small, typed strategy object: it declares whether it
-    needs a training run and builds the flagger that
-    :class:`~repro.ssa.construct.SSABuilder` runs pre-renaming.  The
-    pipeline, CLI and compile service all select flag provenance through
-    this protocol — adding a new provenance means adding a source here,
-    nothing else.
-    """
-
-    #: the wire name (matches ``SpecMode`` values and ``--spec-source``)
-    name: ClassVar[str]
-
-    #: does this source require an alias profile from a training run?
-    needs_train_run: ClassVar[bool] = False
-
-    @abc.abstractmethod
-    def flagger(self) -> Flagger:
-        """The flagger implementing this source's flag assignment."""
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name!r}>"
-
-
-class NoSpecSource(SpecSource):
-    """Classical HSSA — every may-operand binding, no speculation."""
-
-    name = "off"
-
-    def flagger(self) -> Flagger:
-        return no_spec_flagger
-
-
-class AggressiveSource(SpecSource):
-    """Figure 12's unsafe upper bound — ignore every may-alias."""
-
-    name = "aggressive"
-
-    def flagger(self) -> Flagger:
-        return aggressive_flagger
-
-
-class HeuristicSource(SpecSource):
-    """§3.2.2 — the three syntax-tree rules, no inputs needed."""
-
-    name = "heuristic"
-
-    def flagger(self) -> Flagger:
-        return heuristic_flagger
-
-
-class ProfileSource(SpecSource):
-    """§3.2.1 — flags from a training-run alias profile."""
-
-    name = "profile"
-    needs_train_run = True
-
-    def __init__(self, profile: AliasProfile,
-                 threshold: float = 0.0) -> None:
-        if profile is None:
-            raise ValueError("ProfileSource requires an alias profile")
-        self.profile = profile
-        self.threshold = threshold
-
-    def flagger(self) -> Flagger:
-        return make_profile_flagger(self.profile, self.threshold)
-
-
-class StaticSource(SpecSource):
-    """Profile-free — static probabilistic alias analysis, thresholded."""
-
-    name = "static"
-
-    def __init__(
-        self,
-        threshold: float = DEFAULT_STATIC_THRESHOLD,
-        info_for: Optional[Callable[[Function], "ProbAliasInfo"]] = None,
-    ) -> None:
-        self.threshold = threshold
-        self.info_for = info_for
-
-    def flagger(self) -> Flagger:
-        return make_static_flagger(self.threshold, self.info_for)
-
-
-def source_for(
-    mode: SpecMode,
-    profile: Optional[AliasProfile] = None,
-    threshold: float = 0.0,
-    static_threshold: float = DEFAULT_STATIC_THRESHOLD,
-    prob_info_for: Optional[Callable[[Function], "ProbAliasInfo"]] = None,
-) -> SpecSource:
-    """The :class:`SpecSource` implementing a :class:`SpecMode`."""
-    if mode is SpecMode.OFF:
-        return NoSpecSource()
-    if mode is SpecMode.PROFILE:
-        if profile is None:
-            raise ValueError("PROFILE mode requires an alias profile")
-        return ProfileSource(profile, threshold)
-    if mode is SpecMode.HEURISTIC:
-        return HeuristicSource()
-    if mode is SpecMode.STATIC:
-        return StaticSource(static_threshold, prob_info_for)
-    if mode is SpecMode.AGGRESSIVE:
-        return AggressiveSource()
-    raise ValueError(f"unknown mode {mode!r}")  # pragma: no cover
-
-
 def flagger_for(
     mode: SpecMode,
     profile: Optional[AliasProfile] = None,
@@ -428,9 +316,20 @@ def flagger_for(
     static_threshold: float = DEFAULT_STATIC_THRESHOLD,
     prob_info_for: Optional[Callable[[Function], "ProbAliasInfo"]] = None,
 ) -> Flagger:
-    """Select the flagger for a :class:`SpecMode` (via its source)."""
-    return source_for(mode, profile, threshold, static_threshold,
-                      prob_info_for).flagger()
+    """The flagger implementing a :class:`SpecMode`."""
+    if mode is SpecMode.OFF:
+        return no_spec_flagger
+    if mode is SpecMode.PROFILE:
+        if profile is None:
+            raise ValueError("PROFILE mode requires an alias profile")
+        return make_profile_flagger(profile, threshold)
+    if mode is SpecMode.HEURISTIC:
+        return heuristic_flagger
+    if mode is SpecMode.STATIC:
+        return make_static_flagger(static_threshold, prob_info_for)
+    if mode is SpecMode.AGGRESSIVE:
+        return aggressive_flagger
+    raise ValueError(f"unknown mode {mode!r}")  # pragma: no cover
 
 
 def flag_snapshot(ssa: SSAFunction) -> str:

@@ -246,6 +246,29 @@ def test_unknown_workload_is_a_usage_error(capsys, argv):
     assert "error:" in err and "'nosuch'" in err
 
 
+@pytest.mark.parametrize("flag", ["--train", "--ref"])
+@pytest.mark.parametrize("command", ["run", "compare", "submit"])
+def test_malformed_inputs_are_a_usage_error(program_file, capsys, command,
+                                            flag):
+    """A non-numeric --train/--ref part is a usage error (exit 2), not
+    a traceback with the exit 1 that means "output diverged"."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, program_file, flag, "1,abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error:" in err and "'abc'" in err
+
+
+def test_inputs_read_as_int_else_float():
+    args = build_parser().parse_args(
+        ["run", "prog.c", "--train", "3, 2.5,1e3", "--ref", "-4"])
+    assert args.train == [3, 2.5, 1000.0]
+    assert [type(v) for v in args.train] == [int, float, float]
+    assert args.ref == [-4]
+    assert build_parser().parse_args(["compare", "prog.c"]).ref == []
+
+
 def test_submit_wait_gives_up_on_a_closed_port(capsys):
     import socket
 

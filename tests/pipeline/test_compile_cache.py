@@ -9,10 +9,9 @@ swapped registry passes — must change the key.
 import pytest
 
 from repro.core import SpecConfig
-from repro.pipeline import (PASS_REGISTRY, AnalysisManager, CompileCache,
-                            OutputMismatch, compile_and_run, compile_program,
+from repro.pipeline import (PASS_REGISTRY, CompileCache, OutputMismatch,
+                            compile_and_run, compile_program,
                             default_cache, reference_output)
-from repro.pipeline.passes.base import FunctionPass
 from repro.target import run_program
 from repro.workloads import get_workload
 
@@ -74,8 +73,7 @@ def test_observer_calls_bypass():
     cache = CompileCache()
     _compile(cache, dumps=DumpSink())
     _compile(cache, profile_transform=lambda p: p)
-    _compile(cache, analyses=AnalysisManager())
-    assert cache.bypasses == 3
+    assert cache.bypasses == 2
     assert cache.hits == 0 and cache.misses == 0
     assert len(cache) == 0
 
@@ -101,13 +99,10 @@ def test_registry_swap_misses(monkeypatch):
 
     real = PASS_REGISTRY["dce"]
 
-    class WrappedDce(FunctionPass):
-        name = "dce"
+    def wrapped_dce(state):
+        real(state)
 
-        def run(self, state):
-            real().run(state)
-
-    monkeypatch.setitem(PASS_REGISTRY, "dce", WrappedDce)
+    monkeypatch.setitem(PASS_REGISTRY, "dce", wrapped_dce)
     _compile(cache)
     assert cache.hits == 0 and cache.misses == 2
 

@@ -13,7 +13,6 @@ from repro.core import SpecConfig
 from repro.errors import FuelExhausted
 from repro.pipeline import (PASS_REGISTRY, Diagnostic, OutputMismatch,
                             compile_and_run, compile_program)
-from repro.pipeline.passes import FunctionPass
 from repro.profiling import run_module
 
 SRC = """
@@ -36,13 +35,9 @@ def test_clean_compile_has_no_diagnostics():
     assert compiled.degraded == {}
 
 
-class ExplodingPass(FunctionPass):
+def exploding_pass(state):
     """Registry stand-in for a pass with an unconditional bug."""
-
-    name = "dce"
-
-    def run(self, state):
-        raise RuntimeError("induced optimizer bug")
+    raise RuntimeError("induced optimizer bug")
 
 
 def test_induced_optimizer_crash_degrades_down_the_ladder(monkeypatch):
@@ -50,7 +45,7 @@ def test_induced_optimizer_crash_degrades_down_the_ladder(monkeypatch):
     ladder rung): every function falls all the way to its unoptimized
     original, the compile still completes, and the produced program
     still runs correctly."""
-    monkeypatch.setitem(PASS_REGISTRY, "dce", ExplodingPass)
+    monkeypatch.setitem(PASS_REGISTRY, "dce", exploding_pass)
     compiled = compile_program(SRC, SpecConfig.base())
     assert set(compiled.degraded) == {"sum", "main"}
     assert all(rung == "unoptimized" for rung in compiled.degraded.values())
@@ -84,30 +79,25 @@ def test_induced_verifier_failure_degrades(monkeypatch):
 
 
 def test_failsafe_off_raises(monkeypatch):
-    monkeypatch.setitem(PASS_REGISTRY, "dce", ExplodingPass)
+    monkeypatch.setitem(PASS_REGISTRY, "dce", exploding_pass)
     with pytest.raises(RuntimeError, match="induced optimizer bug"):
         compile_program(SRC, SpecConfig.base(), failsafe=False)
 
 
 def make_flaky_dce():
-    """A registered-pass stand-in that crashes only each function's
-    first attempt, then behaves like the real pass.  Pass instances are
-    shared per-plan across functions, so the counter lives on the
-    class."""
-    real_factory = PASS_REGISTRY["dce"]
+    """A registry stand-in that crashes only each function's first
+    attempt, then behaves like the real pass."""
+    real = PASS_REGISTRY["dce"]
+    calls = {}
 
-    class FlakyDce(FunctionPass):
-        name = "dce"
-        calls = {}
+    def flaky_dce(state):
+        name = state.fn.name
+        n = calls[name] = calls.get(name, 0) + 1
+        if n == 1:
+            raise RuntimeError("first attempt only")
+        real(state)
 
-        def run(self, state):
-            name = state.fn.name
-            n = self.calls[name] = self.calls.get(name, 0) + 1
-            if n == 1:
-                raise RuntimeError("first attempt only")
-            real_factory().run(state)
-
-    return FlakyDce
+    return flaky_dce
 
 
 def test_partial_ladder_degradation_keeps_later_rungs(monkeypatch):

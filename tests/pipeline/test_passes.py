@@ -14,11 +14,9 @@ from repro.analysis import AliasClassifier
 from repro.core import SpecConfig, optimize_function
 from repro.ir import split_module_critical_edges, verify_module
 from repro.lang import compile_source
-from repro.pipeline import (PASS_REGISTRY, AnalysisManager, PassManager,
-                            compile_program)
-from repro.pipeline.passes import (FunctionPass, LADDER, create_pass,
-                                   function_pass_names, ladder_plans,
-                                   register_pass, rung_config)
+from repro.pipeline import PASS_REGISTRY, PassManager, compile_program
+from repro.pipeline.passes import (LADDER, function_pass_names, ladder_plans,
+                                   rung_config)
 from repro.ssa import build_ssa, flagger_for, lower_function, lower_module
 from repro.target import (compile_module, run_program, schedule_function,
                           verify_program)
@@ -93,20 +91,17 @@ void main() {
 """
 
 
-class CrashingLftr(FunctionPass):
-    name = "lftr"
-
-    def run(self, state):
-        raise RuntimeError("induced lftr bug")
+def crashing_lftr(state):
+    raise RuntimeError("induced lftr bug")
 
 
 def test_ladder_retry_reuses_cached_analyses(monkeypatch):
     """A crash at full strength must NOT recompute per-function
     analyses on the retry: the second rung's build-ssa hits the cache
     for alias info and dominance."""
-    monkeypatch.setitem(PASS_REGISTRY, "lftr", CrashingLftr)
-    analyses = AnalysisManager()
-    compiled = compile_program(SRC, SpecConfig.base(), analyses=analyses)
+    monkeypatch.setitem(PASS_REGISTRY, "lftr", crashing_lftr)
+    compiled = compile_program(SRC, SpecConfig.base())
+    analyses = compiled.analyses
     # both functions fell exactly one rung (the ladder dropped lftr)
     assert compiled.degraded == {"sum": "no-lftr", "main": "no-lftr"}
     # first attempt: one miss per function; retry: one hit per function
@@ -114,30 +109,15 @@ def test_ladder_retry_reuses_cached_analyses(monkeypatch):
     assert analyses.hit_counts["alias-info"] == 2
     assert analyses.miss_counts["dominance"] == 2
     assert analyses.hit_counts["dominance"] == 2
-    assert compiled.analyses is analyses
-    assert compiled.analyses.stats()["hits"] >= 4
+    assert analyses.stats()["hits"] >= 4
 
 
 def test_clean_compile_computes_each_analysis_once():
-    analyses = AnalysisManager()
-    compiled = compile_program(SRC, SpecConfig.base(), analyses=analyses)
+    compiled = compile_program(SRC, SpecConfig.base())
+    analyses = compiled.analyses
     assert compiled.degraded == {}
     assert analyses.miss_counts["alias-info"] == 2      # one per function
     assert analyses.hit_counts["alias-info"] == 0
-    assert analyses.invalidation_counts["alias-info"] == 0
-
-
-def test_analysis_manager_invalidation():
-    am = AnalysisManager()
-    assert am.get("a", "f", lambda: 1) == 1
-    assert am.get("a", "f", lambda: 2) == 1             # cached
-    assert am.get("a", "g", lambda: 3) == 3
-    assert am.invalidate("a", "f") == 1
-    assert am.get("a", "f", lambda: 4) == 4             # recomputed
-    am.apply_invalidations(("*",))
-    assert not am.cached("a", "f") and not am.cached("a", "g")
-    stats = am.stats()
-    assert stats["by_analysis"]["a"]["invalidations"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -159,34 +139,23 @@ def test_pipeline_is_assembled_from_the_config():
 def test_ladder_rungs_are_pipeline_truncations():
     config = SpecConfig.aggressive()
     plans = ladder_plans(config, failsafe=True)
-    assert [p.rung for p in plans] \
+    assert [rung for rung, _, _ in plans] \
         == ["as-configured", "no-lftr", "no-epre", "no-spec"]
-    names = [[q.name for q in plan.passes] for plan in plans]
+    names = [pass_names for _, _, pass_names in plans]
     assert "lftr" in names[0] and "strength-reduction" in names[0]
     assert "lftr" not in names[1] and "strength-reduction" not in names[1]
     assert "expression-pre" in names[1]
     assert "expression-pre" not in names[2]
     # dropped passes flip the matching config flags (pipeline ≡ config)
-    for rung, plan in zip(LADDER, plans[1:]):
-        assert plan.config == rung_config(config, rung)
-        assert not plan.config.lftr
-    assert plans[3].config.mode.name == "OFF"
-    assert not plans[3].config.control_speculation
+    for rung, (_, rung_cfg, rung_names) in zip(LADDER, plans[1:]):
+        assert rung_cfg == rung_config(config, rung)
+        assert rung_names == function_pass_names(rung_cfg)
+        assert not rung_cfg.lftr
+    assert plans[3][1].mode.name == "OFF"
+    assert not plans[3][1].control_speculation
     # failsafe=False: only the as-configured plan
-    assert [p.rung for p in ladder_plans(config, failsafe=False)] \
+    assert [rung for rung, _, _ in ladder_plans(config, failsafe=False)] \
         == ["as-configured"]
-
-
-def test_registry_rejects_duplicates_and_unknown_names():
-    with pytest.raises(ValueError, match="already registered"):
-        @register_pass
-        class Duplicate(FunctionPass):        # noqa: F811
-            name = "dce"
-
-            def run(self, state):
-                pass
-    with pytest.raises(KeyError, match="no-such-pass"):
-        create_pass("no-such-pass")
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +186,7 @@ def test_pass_trace_records_every_invocation():
 
 
 def test_pass_trace_marks_failed_invocations(monkeypatch):
-    monkeypatch.setitem(PASS_REGISTRY, "lftr", CrashingLftr)
+    monkeypatch.setitem(PASS_REGISTRY, "lftr", crashing_lftr)
     compiled = compile_program(SRC, SpecConfig.base())
     failed = [r for r in compiled.pass_trace.records if r.failed]
     assert failed and all(r.pass_name == "lftr" for r in failed)
@@ -228,10 +197,9 @@ def test_pass_trace_marks_failed_invocations(monkeypatch):
 
 
 def test_pass_trace_json_roundtrip(tmp_path):
-    analyses = AnalysisManager()
-    compiled = compile_program(SRC, SpecConfig.base(), analyses=analyses)
+    compiled = compile_program(SRC, SpecConfig.base())
     path = tmp_path / "trace.json"
-    compiled.pass_trace.dump_json(str(path), analyses.stats())
+    compiled.pass_trace.dump_json(str(path), compiled.analyses.stats())
     doc = json.loads(path.read_text())
     assert doc["invocations"] == len(compiled.pass_trace.records)
     assert doc["passes"][0]["pass"] == "split-critical-edges"
@@ -241,11 +209,13 @@ def test_pass_trace_json_roundtrip(tmp_path):
 
 
 def test_manager_is_reusable():
-    """One manager, two compiles: records reset per compile, the
-    analysis cache persists (scoped by module identity)."""
+    """One manager, two compiles: records and the analysis cache reset
+    per compile."""
     manager = PassManager(SpecConfig.base())
     first = manager.compile(SRC)
     n = len(first.pass_trace.records)
     second = manager.compile(SRC)
     assert len(second.pass_trace.records) == n
     assert second.program.format() == first.program.format()
+    assert second.analyses is not first.analyses
+    assert second.analyses.stats() == first.analyses.stats()

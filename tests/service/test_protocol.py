@@ -148,16 +148,3 @@ class TestRegistry:
     def test_unknown_specs_raise_value_error(self, bad):
         with pytest.raises(ValueError):
             resolve_config(bad)
-
-    def test_registration(self):
-        from repro.service.registry import (CONFIG_FACTORIES, MODIFIERS,
-                                            register_config,
-                                            register_modifier)
-
-        register_config("_test", SpecConfig.base)
-        register_modifier("_mod", lambda c: c.but(dce=False))
-        try:
-            assert resolve_config("_test+_mod").dce is False
-        finally:
-            del CONFIG_FACTORIES["_test"]
-            del MODIFIERS["_mod"]

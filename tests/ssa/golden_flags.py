@@ -2,8 +2,9 @@
 
 The golden files under ``tests/ssa/golden/`` were generated from the
 pre-refactor flagger closures (ISSUE 8) and pin the ``heuristic`` and
-``profile`` speculation-flag assignments bit-for-bit: the `SpecSource`
-refactor must keep both sources' flag sets identical to these files.
+``profile`` speculation-flag assignments bit-for-bit: any change to
+how flaggers are selected must keep both modes' flag sets identical to
+these files.
 
 Regenerate (only when flag *semantics* deliberately change) with::
 

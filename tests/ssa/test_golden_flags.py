@@ -1,11 +1,10 @@
 """Golden speculation-flag tests (ISSUE 8 acceptance gate).
 
-The ``SpecSource`` refactor re-routed every flagger through
-:class:`repro.ssa.SpecSource` implementations; these tests pin the
-``heuristic`` and ``profile`` flag assignments **bit-for-bit** against
-golden files generated from the pre-refactor closures
-(``tests/ssa/golden/``, see ``tests/ssa/golden_flags.py``).  Any
-diff here means the refactor changed flag semantics, not just shape.
+Every flagger is selected by :func:`repro.ssa.flagger_for`; these
+tests pin the ``heuristic`` and ``profile`` flag assignments
+**bit-for-bit** against golden files generated from the pre-refactor
+closures (``tests/ssa/golden/``, see ``tests/ssa/golden_flags.py``).
+Any diff here means a refactor changed flag semantics, not just shape.
 """
 
 import pytest
@@ -24,32 +23,8 @@ def test_flags_bit_identical_to_pre_refactor(name, mode):
     assert snapshot_workload(WORKLOADS[name], mode) == golden
 
 
-def test_source_dispatch_matches_direct_flaggers():
-    """``flagger_for`` (the compatibility wrapper) and
-    ``source_for(...).flagger()`` are the same code path: identical
-    snapshots on a representative workload, every mode."""
-    from repro.ssa import SpecMode, flagger_for, source_for
-    from repro.ssa.spec import (AggressiveSource, HeuristicSource,
-                                NoSpecSource, ProfileSource, StaticSource)
-
-    for mode, cls in ((SpecMode.OFF, NoSpecSource),
-                      (SpecMode.HEURISTIC, HeuristicSource),
-                      (SpecMode.STATIC, StaticSource),
-                      (SpecMode.AGGRESSIVE, AggressiveSource)):
-        source = source_for(mode)
-        assert isinstance(source, cls)
-        assert source.name == mode.value
-        assert callable(source.flagger())
-        assert callable(flagger_for(mode))
-    profile_source = source_for(SpecMode.PROFILE, profile=object())
-    assert isinstance(profile_source, ProfileSource)
-    assert profile_source.needs_train_run
-    assert not HeuristicSource().needs_train_run
-    assert not StaticSource().needs_train_run
-
-
 def test_profile_source_requires_profile():
-    from repro.ssa import SpecMode, source_for
+    from repro.ssa import SpecMode, flagger_for
 
     with pytest.raises(ValueError):
-        source_for(SpecMode.PROFILE, profile=None)
+        flagger_for(SpecMode.PROFILE, profile=None)
