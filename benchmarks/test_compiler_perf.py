@@ -6,15 +6,12 @@ simulation, compilation, and the fault-injection campaign — and writes
 an artifact, one before/after pair per phase measured **in the same
 run** so the numbers are comparable:
 
-* **simulate** — every workload through all three machine engines: the
-  frozen ``classic`` tree-walking dispatch (the pre-PR baseline), the
-  ``predecode`` engine that classifies operands at translation time,
-  and the ``trace`` engine — the hot-trace JIT that compiles hot block
-  sequences into fused Python closures (docs/performance.md).  Outputs
-  and every architectural counter must agree bit-for-bit; the
-  simulation-heavy set must show a ≥1.8x predecode-over-classic
-  geomean, and the trace engine must add a ≥1.5x geomean over
-  predecode (≥3x over classic).
+* **simulate** — every workload through both machine engines: the
+  frozen ``classic`` tree-walking dispatch (the pre-PR baseline) and
+  the ``predecode`` engine that classifies operands at translation
+  time (docs/performance.md).  Outputs and every counter must agree
+  bit-for-bit; the simulation-heavy set must show a ≥1.8x
+  predecode-over-classic geomean.
 * **compile** — cold pipeline runs versus content-addressed
   :class:`~repro.pipeline.CompileCache` hits.
 * **campaign** — the seeded injection matrix sequentially (``jobs=1``)
@@ -84,20 +81,18 @@ def _geomean(values):
 
 
 def test_simulate_engine_speedups():
-    """Phase 1: classic vs predecode vs trace dispatch, all eight
-    workloads.
+    """Phase 1: classic vs predecode dispatch, all eight workloads.
 
-    The engines must be bit-identical (outputs, architectural stats,
-    per-function stats); the pre-decode must buy >=1.8x geomean over
-    classic on the simulation-heavy set (no sim-heavy workload below
-    1.4x), and the trace JIT must add >=1.5x geomean over predecode
-    (>=3x over classic) on the same set — the PR gate."""
+    The engines must be bit-identical (outputs, stats, per-function
+    stats); the pre-decode must buy >=1.8x geomean over classic on the
+    simulation-heavy set (no sim-heavy workload below 1.4x) — the PR
+    gate."""
     for w in all_workloads():
         compiled = compile_program(w.source, SpecConfig.profile(),
                                    train_inputs=w.train_inputs)
         kwargs = machine_kwargs()
         timings = {}
-        for engine in ("classic", "predecode", "trace"):
+        for engine in ("classic", "predecode"):
             secs, (stats, output) = _best_of(
                 lambda e=engine: run_program(compiled.program,
                                              inputs=w.ref_inputs,
@@ -105,65 +100,35 @@ def test_simulate_engine_speedups():
             timings[engine] = (secs, stats, output)
         classic_s, cstats, cout = timings["classic"]
         predecode_s, pstats, pout = timings["predecode"]
-        trace_s, tstats, tout = timings["trace"]
-        assert pout == cout == tout, f"{w.name}: engine outputs diverge"
+        assert pout == cout, f"{w.name}: engine outputs diverge"
         assert pstats.to_dict() == cstats.to_dict(), \
             f"{w.name}: engine stats diverge"
-        assert tstats.arch_dict() == cstats.arch_dict(), \
-            f"{w.name}: trace engine architectural stats diverge"
         assert ({k: vars(v) for k, v in pstats.fn_stats.items()}
-                == {k: vars(v) for k, v in cstats.fn_stats.items()}
-                == {k: vars(v) for k, v in tstats.fn_stats.items()}), \
+                == {k: vars(v) for k, v in cstats.fn_stats.items()}), \
             f"{w.name}: per-function stats diverge"
-        assert tstats.traces_compiled > 0 and tstats.trace_hits > 0, \
-            f"{w.name}: trace engine never left the interpreter"
         REPORT["workloads"][w.name] = {"simulate": {
             "classic_s": classic_s,
             "predecode_s": predecode_s,
-            "trace_s": trace_s,
             "speedup": classic_s / predecode_s,
-            "trace_speedup_vs_predecode": predecode_s / trace_s,
-            "trace_speedup_vs_classic": classic_s / trace_s,
             "dyn_instructions": pstats.instructions,
             "classic_dyn_instr_per_s": pstats.instructions / classic_s,
             "predecode_dyn_instr_per_s":
                 pstats.instructions / predecode_s,
-            "trace_dyn_instr_per_s": pstats.instructions / trace_s,
-            "trace_cache": dict(
-                tstats.engine_dict(),
-                coverage=(tstats.trace_dyn_instr / tstats.instructions
-                          if tstats.instructions else 0.0)),
         }}
 
     speedups = {name: entry["simulate"]["speedup"]
                 for name, entry in REPORT["workloads"].items()}
-    trace_vs_pre = {name: entry["simulate"]["trace_speedup_vs_predecode"]
-                    for name, entry in REPORT["workloads"].items()}
-    trace_vs_cls = {name: entry["simulate"]["trace_speedup_vs_classic"]
-                    for name, entry in REPORT["workloads"].items()}
     heavy = [speedups[name] for name in SIM_HEAVY]
-    heavy_tp = [trace_vs_pre[name] for name in SIM_HEAVY]
-    heavy_tc = [trace_vs_cls[name] for name in SIM_HEAVY]
     REPORT["simulate_summary"] = {
         "sim_heavy": list(SIM_HEAVY),
         "sim_heavy_geomean_speedup": _geomean(heavy),
         "all_geomean_speedup": _geomean(list(speedups.values())),
-        "trace_sim_heavy_geomean_vs_predecode": _geomean(heavy_tp),
-        "trace_sim_heavy_geomean_vs_classic": _geomean(heavy_tc),
-        "trace_all_geomean_vs_predecode":
-            _geomean(list(trace_vs_pre.values())),
     }
     for name in SIM_HEAVY:
         assert speedups[name] >= 1.4, \
             f"{name}: predecode only {speedups[name]:.2f}x over classic"
     assert _geomean(heavy) >= 1.8, \
         f"sim-heavy geomean {_geomean(heavy):.2f}x < 1.8x"
-    assert _geomean(heavy_tp) >= 1.5, \
-        f"trace sim-heavy geomean {_geomean(heavy_tp):.2f}x < 1.5x " \
-        f"over predecode"
-    assert _geomean(heavy_tc) >= 3.0, \
-        f"trace sim-heavy geomean {_geomean(heavy_tc):.2f}x < 3x " \
-        f"over classic"
 
 
 def test_compile_cache_speedup():
@@ -238,21 +203,14 @@ def test_write_bench_perf_json():
     throughput = _geomean(
         [e["simulate"]["predecode_dyn_instr_per_s"]
          for e in REPORT["workloads"].values()])
-    trace_throughput = _geomean(
-        [e["simulate"]["trace_dyn_instr_per_s"]
-         for e in REPORT["workloads"].values()])
-    # schema 2 (docs/performance.md): adds the trace engine — per
-    # workload trace_s / trace_speedup_vs_{predecode,classic} /
-    # trace_dyn_instr_per_s / trace_cache counters, the trace geomeans
-    # in simulate_summary, trace_geomean_dyn_instr_per_s at top level —
-    # and replaces the campaign speedup with null + parallel_taken:
-    # false when the break-even fallback kept jobs=4 sequential.
+    # schema 2 (docs/performance.md): the campaign speedup is null +
+    # parallel_taken: false when the break-even fallback kept jobs=4
+    # sequential.
     doc = {
         "schema": 2,
         "best_of": REPS,
         "cpu_count": os.cpu_count(),
         "geomean_dyn_instr_per_s": throughput,
-        "trace_geomean_dyn_instr_per_s": trace_throughput,
         "simulate_summary": REPORT["simulate_summary"],
         "campaign": REPORT["campaign"],
         "workloads": REPORT["workloads"],
@@ -267,12 +225,8 @@ def test_write_bench_perf_json():
                      else "sequential fallback")
     print(f"\nBENCH_perf.json: sim-heavy geomean "
           f"{summary['sim_heavy_geomean_speedup']:.2f}x predecode, "
-          f"{summary['trace_sim_heavy_geomean_vs_predecode']:.2f}x "
-          f"trace-over-predecode "
-          f"({summary['trace_sim_heavy_geomean_vs_classic']:.2f}x "
-          f"over classic), campaign jobs={campaign['jobs']} "
-          f"{campaign_note}, {throughput:,.0f} predecode / "
-          f"{trace_throughput:,.0f} trace dyn instr/s")
+          f"campaign jobs={campaign['jobs']} {campaign_note}, "
+          f"{throughput:,.0f} predecode dyn instr/s")
 
     if not os.path.exists(BASELINE_PATH):
         pytest.skip("no committed perf baseline yet — gate not armed")
@@ -282,8 +236,3 @@ def test_write_bench_perf_json():
     assert throughput >= floor, \
         f"dyn-instr/s regressed >25%: {throughput:,.0f} < " \
         f"75% of baseline {baseline['geomean_dyn_instr_per_s']:,.0f}"
-    trace_floor = 0.75 * baseline.get("trace_geomean_dyn_instr_per_s", 0)
-    assert trace_throughput >= trace_floor, \
-        f"trace dyn-instr/s regressed >25%: {trace_throughput:,.0f} < " \
-        f"75% of baseline " \
-        f"{baseline['trace_geomean_dyn_instr_per_s']:,.0f}"

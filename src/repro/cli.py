@@ -4,24 +4,23 @@ Usage::
 
     python -m repro run FILE [--config NAME] [--spec-source SRC]
                              [--sched block|superblock]
-                             [--engine classic|predecode|trace]
+                             [--engine predecode|classic]
                              [--train 1,2,3] [--ref 4,5,6] [--dump-ir]
                              [--inject SCENARIO] [--inject-seed N]
                              [--time-passes] [--trace-json FILE]
     python -m repro compare FILE [--train ...] [--ref ...]
     python -m repro workloads [--list | --name NAME] [--spec-source SRC]
-                              [--engine ENGINE]
     python -m repro campaign [--scenarios poison,storm] [--seeds 0,1,2]
                              [--adversary empty|shuffle|invert] [--jobs N]
-                             [--spec-source SRC] [--engine ENGINE]
+                             [--spec-source SRC]
 
 ``--config`` names come from the shared service registry
 (:mod:`repro.service.registry` — ``repro run --help`` lists them);
 ``--spec-source heuristic|profile|static`` overrides where speculation
 flags come from (``static`` needs no train input at all);
-``--engine classic|predecode|trace`` picks the simulator dispatch
-implementation (docs/performance.md — identical output and
-architectural counters on all three).
+``--engine predecode|classic`` picks the simulator dispatch
+implementation (docs/performance.md — identical output and counters
+on both).
     python -m repro figures [--out DIR]
     python -m repro serve [--host H] [--port P] [--workers N]
                           [--max-queue-depth N] [--max-inflight N]
@@ -189,8 +188,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace_json and result.pass_trace is not None:
         result.pass_trace.dump_json(
             args.trace_json, cache_stats=cache_stats,
-            engine_stats={"engine": args.engine,
-                          **result.stats.engine_dict()})
+            engine_stats={"engine": args.engine})
         print(f"pass trace written to {args.trace_json}", file=sys.stderr)
     if args.json:
         import json
@@ -208,10 +206,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"ld.s={s.spec_loads} ld.c={s.check_loads} "
           f"misses={s.check_misses} deferred={s.deferred_faults} "
           f"recovered={s.spec_recoveries})", file=sys.stderr)
-    if args.engine == "trace":
-        print(f"--- trace cache: traces={s.traces_compiled} "
-              f"hits={s.trace_hits} side_exits={s.side_exits} "
-              f"trace_dyn_instr={s.trace_dyn_instr}", file=sys.stderr)
     return 0
 
 
@@ -237,8 +231,7 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
     rows = []
     for name in names:
         comparison = compare_workload(
-            name, spec_config=_resolve_cli_config(args),
-            engine=args.engine)
+            name, spec_config=_resolve_cli_config(args))
         rows.append(comparison.row())
     title = args.config + (f" ({args.spec_source} flags)"
                            if args.spec_source else "")
@@ -264,7 +257,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         seeds=[int(s) for s in args.seeds.split(",")],
         profile_transform=transform,
         jobs=args.jobs,
-        engine=args.engine,
     )
     print(report.summary())
     return 0 if report.ok else 1
@@ -393,10 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                      default="predecode",
                      help="simulator dispatch implementation "
                           "(docs/performance.md): predecoded operands "
-                          "(default), the hot-trace JIT layered on it, "
-                          "or the frozen classic baseline — identical "
-                          "output and architectural counters on all "
-                          "three")
+                          "(default) or the frozen classic baseline — "
+                          "identical output and counters on both")
     run.add_argument("--train", type=_parse_inputs, default=[],
                      help="comma-separated train inputs")
     run.add_argument("--ref", type=_parse_inputs, default=[],
@@ -443,10 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(see `run`)")
     workloads.add_argument("--sched", choices=("block", "superblock"),
                            help="machine scheduling mode (see `run`)")
-    workloads.add_argument("--engine", choices=sorted(ENGINES),
-                           default="predecode",
-                           help="simulator dispatch implementation "
-                                "(see `run`)")
     workloads.set_defaults(fn=_cmd_workloads)
 
     campaign = sub.add_parser(
@@ -469,12 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "flag source (static: wrong guesses may "
                                "only cost recovery replays, never "
                                "output mismatches)")
-    campaign.add_argument("--engine", choices=sorted(ENGINES),
-                          default="predecode",
-                          help="simulate every injected run on this "
-                               "dispatch engine (trace: proves the JIT "
-                               "deoptimizes correctly under every "
-                               "perturbation)")
     import os
 
     campaign.add_argument(

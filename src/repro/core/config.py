@@ -73,11 +73,12 @@ class SpecConfig:
     dce: bool = True
     max_rounds: int = 4
     #: simulator dispatch implementation (:data:`repro.target.ENGINES`):
-    #: "predecode" (default), "trace" (hot-trace JIT) or "classic".
+    #: "predecode" (default) or "classic".
     #: A machine-side knob, not a compiler one — it never changes the
-    #: generated code, only how the service/CLI simulate it; it rides on
+    #: generated code, only how the service simulates it; it rides on
     #: the config so the wire protocol's spec strings can select it
-    #: (``resolve_config("profile+trace")``).
+    #: (``resolve_config("profile+classic")``), and ``repr(config)``
+    #: is part of every content key.
     engine: str = "predecode"
 
     @property

@@ -103,12 +103,11 @@ class _Prepared(NamedTuple):
     expected: List[str]
     ref_inputs: List[float]
     fuel: int
-    engine: str
 
 
 def _prepare(workload, config: SpecConfig,
              profile_transform: Optional[Callable], fuel: int,
-             engine: str, report: CampaignReport) -> _Prepared:
+             report: CampaignReport) -> _Prepared:
     """Compile ``workload`` once, fetch its oracle output through the
     driver, and record its degraded functions in ``report``."""
     compiled = compile_program(workload.source, config,
@@ -120,7 +119,7 @@ def _prepare(workload, config: SpecConfig,
     expected = reference_output(workload.source, compiled.original,
                                 workload.ref_inputs, fuel=fuel)
     return _Prepared(workload.name, compiled.program, expected,
-                     list(workload.ref_inputs), fuel, engine)
+                     list(workload.ref_inputs), fuel)
 
 
 def _injected_run(prepared: _Prepared, scenario: str,
@@ -134,7 +133,7 @@ def _injected_run(prepared: _Prepared, scenario: str,
         stats, output = run_program(
             prepared.program, inputs=prepared.ref_inputs,
             fuel=4 * prepared.fuel, injector=injector,
-            engine=prepared.engine, **machine_kwargs())
+            **machine_kwargs())
     except MachineError as exc:
         run.error = str(exc)
     else:
@@ -167,8 +166,7 @@ def run_campaign(workload_names: Optional[Sequence[str]] = None,
                  profile_transform: Optional[Callable] = None,
                  fuel: int = 50_000_000,
                  jobs: int = 1,
-                 force_parallel: bool = False,
-                 engine: str = "predecode") -> CampaignReport:
+                 force_parallel: bool = False) -> CampaignReport:
     """Run the differential campaign (see module docstring).
 
     Each workload is compiled and its oracle output fetched **once**
@@ -187,12 +185,6 @@ def run_campaign(workload_names: Optional[Sequence[str]] = None,
     ``force_parallel=True`` overrides the fallback — the knob the
     bit-identity tests use to exercise the pool machinery regardless
     of the host.
-
-    ``engine`` selects the simulator dispatch implementation for every
-    injected run (:data:`repro.target.ENGINES`); the oracle is always
-    the reference interpreter, so ``engine="trace"`` turns the campaign
-    into a differential proof that the trace JIT deoptimizes correctly
-    under every perturbation.
     """
     workloads = ([get_workload(n) for n in workload_names]
                  if workload_names is not None
@@ -206,8 +198,7 @@ def run_campaign(workload_names: Optional[Sequence[str]] = None,
     seeds = list(seeds)
     jobs = max(1, int(jobs))
     report = CampaignReport()
-    prepared = [_prepare(workload, config, profile_transform, fuel, engine,
-                         report)
+    prepared = [_prepare(workload, config, profile_transform, fuel, report)
                 for workload in workloads]
     matrix = [(index, scenario, seed)
               for index in range(len(prepared))

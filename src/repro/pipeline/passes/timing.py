@@ -114,7 +114,7 @@ class PassTrace:
                 engine_stats: Optional[Dict[str, object]] = None
                 ) -> Dict[str, object]:
         """Machine-readable trace (optionally with the analysis-cache,
-        compile-cache and simulator-engine counters merged in)."""
+        compile-cache counters and the simulator engine merged in)."""
         doc: Dict[str, object] = {
             "total_wall_s": self.total_wall_s,
             "invocations": len(self.records),

@@ -26,23 +26,35 @@ pipeline into a shared service (docs/service.md):
 
 CLI surface: ``python -m repro serve`` / ``repro submit`` /
 ``repro loadgen``.
+
+The names below load their submodule on first access, so importing a
+light submodule (``repro.service.registry``, which ``repro.cli`` needs
+for ``--config``) does not pull in ``asyncio`` and the daemon.
 """
 
-from .backoff import Backoff, CircuitBreaker, RetryPolicy, wait_ready
-from .client import ServiceClient, ServiceClosed, ServiceError, \
-    ServiceTimeout, ServiceUnavailable
-from .daemon import Daemon, DaemonThread, run_daemon
-from .loadgen import LoadReport, run_load
-from .persist import CacheStore
-from .protocol import ProtocolError, request_key, validate_request, \
-    validate_response
-from .registry import available_configs, resolve_config
+import importlib
 
-__all__ = [
-    "Backoff", "CacheStore", "CircuitBreaker",
-    "Daemon", "DaemonThread", "LoadReport", "ProtocolError",
-    "RetryPolicy", "ServiceClient", "ServiceClosed", "ServiceError",
-    "ServiceTimeout", "ServiceUnavailable",
-    "available_configs", "request_key", "resolve_config", "run_daemon", "run_load",
-    "validate_request", "validate_response", "wait_ready",
-]
+#: public name -> the submodule defining it
+_EXPORTS = {
+    "Backoff": "backoff", "CircuitBreaker": "backoff",
+    "RetryPolicy": "backoff", "wait_ready": "backoff",
+    "ServiceClient": "client", "ServiceClosed": "client",
+    "ServiceError": "client", "ServiceTimeout": "client",
+    "ServiceUnavailable": "client",
+    "Daemon": "daemon", "DaemonThread": "daemon", "run_daemon": "daemon",
+    "LoadReport": "loadgen", "run_load": "loadgen",
+    "CacheStore": "persist",
+    "ProtocolError": "protocol", "request_key": "protocol",
+    "validate_request": "protocol", "validate_response": "protocol",
+    "available_configs": "registry", "resolve_config": "registry",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

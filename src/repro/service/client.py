@@ -199,7 +199,9 @@ class ServiceClient:
         With a :class:`~repro.service.backoff.RetryPolicy`, retryable
         typed errors (``overload`` by default, honouring the daemon's
         ``retry_after_ms``) and connection failures are retried with
-        backoff until the budget runs out."""
+        backoff until the budget runs out.  Errors the program itself
+        causes (:data:`~repro.service.protocol.PROGRAM_ERRORS`) are
+        never retried."""
         if req.get("id") is None:
             req["id"] = next(self._ids)
         policy = self.retry
@@ -242,6 +244,7 @@ class ServiceClient:
                 return raise_for_error(resp)
             except ServiceError as exc:
                 if policy is not None and exc.type in policy.retry_types \
+                        and exc.type not in protocol.PROGRAM_ERRORS \
                         and attempt < policy.retries:
                     time.sleep(backoff.delay_s(attempt,
                                                exc.retry_after_ms))

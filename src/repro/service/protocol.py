@@ -63,6 +63,8 @@ WORK_OPS = ("compile", "run", "campaign")
 ERROR_TYPES = (
     "bad-request",      # malformed JSON / schema violation
     "compile-error",    # the pipeline raised (failsafe exhausted, ...)
+    "source-error",     # the source failed to lex, parse or lower
+    "runtime-error",    # the program faulted at run time (bad input())
     "output-mismatch",  # simulated output diverged from the oracle
     "fuel-exhausted",   # program ran out of fuel
     "timeout",          # the request's timeout_ms elapsed server-side
@@ -71,6 +73,10 @@ ERROR_TYPES = (
     "shutdown",         # daemon is draining and refused new work
     "internal",         # anything else (bug in the service)
 )
+
+#: errors the submitted program itself causes: the same request fails
+#: the same way every time, so clients never retry them
+PROGRAM_ERRORS = ("source-error", "runtime-error")
 
 _MAX_LINE = 64 * 1024 * 1024  # one request line; sources are small
 

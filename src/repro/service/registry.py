@@ -41,9 +41,8 @@ MODIFIERS: Dict[str, Callable[[SpecConfig], SpecConfig]] = {
     "static": lambda c: c.but(mode=SpecMode.STATIC,
                               use_edge_profile=False),
     # simulator engine selection (docs/performance.md): a machine-side
-    # knob — `profile+trace` compiles identically to `profile` but the
-    # service simulates `run` requests on the hot-trace JIT
-    "trace": lambda c: c.but(engine="trace"),
+    # knob — `profile+classic` compiles identically to `profile` but the
+    # service simulates `run` requests on the reference engine
     "predecode": lambda c: c.but(engine="predecode"),
     "classic": lambda c: c.but(engine="classic"),
 }

@@ -97,7 +97,7 @@ def _handle_run(req: Dict[str, Any]) -> Dict[str, Any]:
     from ..pipeline import compile_and_run
 
     config = resolve_config(req.get("config", "base"))
-    # the config spec string selects the simulator too ("profile+trace")
+    # the config spec string selects the simulator too ("profile+classic")
     run, hit = _through_cache(
         compile_and_run, req, config, ref_inputs=req.get("ref", []),
         check_output=req.get("check", True),
@@ -154,7 +154,10 @@ def handle_request(req: Dict[str, Any]) -> Dict[str, Any]:
     persisted: true`` without touching the pipeline; every fresh
     success is persisted for the next daemon generation."""
     from ..errors import FuelExhausted
+    from ..lang import LexError, LowerError, ParseError
     from ..pipeline import OutputMismatch
+    from ..profiling import InterpError
+    from ..target import MachineError
 
     rid = req.get("id")
     key = _persist_key(req)
@@ -190,6 +193,12 @@ def handle_request(req: Dict[str, Any]) -> Dict[str, Any]:
             f"fuel exhausted in {exc.context()}")
     except ValueError as exc:  # bad config spec, bad workload name, ...
         return protocol.error_response(rid, "bad-request", str(exc))
+    except (LexError, ParseError, LowerError) as exc:  # CLI exit 3
+        return protocol.error_response(
+            rid, "source-error", f"{type(exc).__name__}: {exc}")
+    except (InterpError, MachineError) as exc:  # CLI exit 4
+        return protocol.error_response(
+            rid, "runtime-error", f"{type(exc).__name__}: {exc}")
     except Exception as exc:  # noqa: BLE001 — the worker must survive
         return protocol.error_response(
             rid, "compile-error", f"{type(exc).__name__}: {exc}")

@@ -1,15 +1,12 @@
-"""Pieces shared by the three execution engines.
+"""Pieces shared by the two execution engines.
 
 The simulator has two dispatch loops.  The interpretive loop
 (:mod:`machine_classic`) is the reference engine.  The pre-decoded
-loop (:mod:`machine`) is the fast one: it runs the predecode engine
-with tier-up off and the hot-trace JIT (:mod:`machine_trace`) with it
-on, and every trace deoptimizes back into it.  All engines agree on
-this substrate: the NaT poison token, the machine error types, the
-pre-decoded instruction encoding and the per-function translation
-(:class:`_TFunc`).  Everything here is engine-neutral; dispatch lives
-in :mod:`machine`, trace recording and compilation in
-:mod:`machine_trace`.
+loop (:mod:`machine`) is the fast one, ``run_program``'s default.  Both
+engines agree on this substrate: the NaT poison token and the machine
+error types; the pre-decoded instruction encoding and the per-function
+translation (:class:`_TFunc`) serve the fast loop.  Everything here is
+engine-neutral; dispatch lives in :mod:`machine`.
 
 ``machine.py`` re-exports these names unchanged, so existing imports
 (``from repro.target.machine import NAT``) keep working.
@@ -125,20 +122,13 @@ class _TFunc:
     Terminators and calls carry their in-block position + 1 as the last
     payload slot, which lets the dispatch loop bill executed-instruction
     counts per *block* instead of per instruction.
-
-    ``tr_tbl`` is the per-run trace table the shared dispatch loop's
-    trace hook reads, one entry per block, built on the function's
-    first call: all ``None`` under predecode (tier-up off), arrival
-    counters and compiled trace closures under the trace engine
-    (:mod:`machine_trace`).
     """
 
     __slots__ = ("name", "blocks", "nregs", "param_regs", "frame_allocs",
-                 "fs", "tr_tbl")
+                 "fs")
 
     def __init__(self, fn) -> None:
         self.fs = None  # this run's FnStats, bound on first call
-        self.tr_tbl = None  # this run's trace table, built on first call
         self.name = fn.name
         self.nregs = fn.nregs
         self.param_regs = fn.param_regs

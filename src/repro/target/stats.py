@@ -82,21 +82,16 @@ class MachineStats:
     taken_branches: int = 0
     #: control transfers to the lexically-next block (penalty-free)
     fallthroughs: int = 0
-    # ---- trace-engine counters (docs/performance.md) -------------------
-    # Populated only by ``run_program(engine="trace")``; always zero
-    # under the classic and predecode engines.  They describe the
-    # *dispatch machinery*, never the simulated architecture, so they
-    # are excluded from :meth:`arch_dict` (the cross-engine
-    # bit-identity surface).
-    #: hot traces compiled into fused closures this run
-    traces_compiled: int = 0
-    #: trace-cache dispatches (one fused call, possibly many blocks)
-    trace_hits: int = 0
-    #: deoptimizing exits through a non-recorded branch arm
-    side_exits: int = 0
-    #: dynamic instructions retired inside compiled traces
-    trace_dyn_instr: int = 0
     fn_stats: Dict[str, FnStats] = field(default_factory=dict)
+
+    # Counters of the deleted hot-trace JIT engine (docs/performance.md).
+    # No engine sets them; they stay readable as always-0 class
+    # attributes (not fields, so not in ``to_dict``) because
+    # ``perfbench/tracing.py`` still reads them.
+    traces_compiled = 0
+    trace_hits = 0
+    side_exits = 0
+    trace_dyn_instr = 0
 
     # ---- derived counters ----------------------------------------------
     @property
@@ -165,30 +160,7 @@ class MachineStats:
             "replay_loads": self.replay_loads,
             "taken_branches": self.taken_branches,
             "fallthroughs": self.fallthroughs,
-            "traces_compiled": self.traces_compiled,
-            "trace_hits": self.trace_hits,
-            "side_exits": self.side_exits,
-            "trace_dyn_instr": self.trace_dyn_instr,
         }
-
-    #: ``to_dict`` keys that describe engine machinery, not architecture
-    ENGINE_KEYS = ("traces_compiled", "trace_hits", "side_exits",
-                   "trace_dyn_instr")
-
-    def arch_dict(self) -> Dict[str, object]:
-        """Architecturally-visible counters only: ``to_dict`` minus the
-        trace-engine dispatch counters.  Two engines simulating the same
-        program must agree on this dict bit-for-bit, whatever their
-        dispatch strategy."""
-        d = self.to_dict()
-        for key in self.ENGINE_KEYS:
-            del d[key]
-        return d
-
-    def engine_dict(self) -> Dict[str, int]:
-        """The dispatch-machinery counters alone (all zero except under
-        ``engine="trace"``) — the complement of :meth:`arch_dict`."""
-        return {key: getattr(self, key) for key in self.ENGINE_KEYS}
 
     def fn(self, name: str) -> FnStats:
         """The (created-on-demand) per-function slice for ``name``."""

@@ -40,19 +40,11 @@ def machine_kwargs(**overrides) -> dict:
     return kwargs
 
 
-
 def run_workload(workload: Workload, config: Optional[SpecConfig] = None,
                  check_output: bool = True,
-                 machine_overrides: Optional[dict] = None,
-                 engine: str = "predecode") -> RunResult:
-    """Compile and simulate one workload under one configuration.
-
-    ``engine`` selects the simulator dispatch implementation
-    (:data:`repro.target.ENGINES`); all engines produce identical
-    output and architectural counters, so figures are engine-agnostic.
-    """
-    kwargs = machine_kwargs(**{"engine": engine,
-                               **(machine_overrides or {})})
+                 machine_overrides: Optional[dict] = None) -> RunResult:
+    """Compile and simulate one workload under one configuration."""
+    kwargs = machine_kwargs(**(machine_overrides or {}))
     return compile_and_run(
         workload.source,
         config or SpecConfig.base(),
@@ -64,12 +56,10 @@ def run_workload(workload: Workload, config: Optional[SpecConfig] = None,
 
 
 def compare_workload(name: str, spec_config: Optional[SpecConfig] = None,
-                     base_config: Optional[SpecConfig] = None,
-                     engine: str = "predecode") -> Comparison:
+                     base_config: Optional[SpecConfig] = None
+                     ) -> Comparison:
     """Base vs. speculative run of one workload (a Figure 10/11 row)."""
     workload = get_workload(name)
-    base = run_workload(workload, base_config or SpecConfig.base(),
-                        engine=engine)
-    spec = run_workload(workload, spec_config or SpecConfig.profile(),
-                        engine=engine)
+    base = run_workload(workload, base_config or SpecConfig.base())
+    spec = run_workload(workload, spec_config or SpecConfig.profile())
     return Comparison(name, base, spec)

@@ -1,5 +1,9 @@
 """CLI tests (python -m repro …)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -244,6 +248,32 @@ def test_unknown_workload_is_a_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error:" in err and "'nosuch'" in err
+
+
+def test_removed_trace_engine_is_a_usage_error(program_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", program_file, "--engine", "trace"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error:" in err and "'trace'" in err
+
+
+def test_import_does_not_load_the_service():
+    """``repro.cli`` needs only the config registry at import time; the
+    daemon, its client, the load generator and ``asyncio`` load on
+    first use of the subcommands that need them."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    heavy = ["asyncio", "repro.service.daemon", "repro.service.client",
+             "repro.service.loadgen", "repro.service.worker"]
+    code = ("import sys, repro.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("flag", ["--train", "--ref"])

@@ -15,8 +15,8 @@ import time
 
 import pytest
 
-from repro.service import (DaemonThread, ServiceClient, ServiceError,
-                           ServiceTimeout)
+from repro.service import (DaemonThread, RetryPolicy, ServiceClient,
+                           ServiceError, ServiceTimeout)
 from repro.service import protocol
 from repro.service import worker as worker_mod
 
@@ -181,9 +181,57 @@ def test_compile_error_is_typed_not_fatal(daemon):
         with pytest.raises(ServiceError) as exc:
             client.run_source("void main() { this is not mini-C }",
                               failsafe=False)
-        assert exc.value.type in ("compile-error", "bad-request")
+        assert exc.value.type == "source-error"
+        assert "ParseError" in exc.value.message
         # daemon still alive
         assert client.ping()["pong"] is True
+
+
+@pytest.mark.parametrize("config, train", [("base", []),
+                                           ("profile", [1])])
+def test_input_past_the_ref_inputs_is_a_runtime_error(daemon, config,
+                                                      train):
+    """``input()`` with no ref input left faults the program at run
+    time: a typed ``runtime-error`` (CLI exit 4), not a compile error."""
+    with _client(daemon) as client:
+        with pytest.raises(ServiceError) as exc:
+            client.run_source(SRC, config=config, train=train, ref=[])
+        assert exc.value.type == "runtime-error"
+        assert "exhausted" in exc.value.message
+        assert client.ping()["pong"] is True
+
+
+def test_program_errors_are_never_retried(daemon, monkeypatch):
+    """Even a policy that lists them does not retry ``source-error`` or
+    ``runtime-error``: the same request fails the same way every time."""
+    calls = []
+    real = worker_mod.handle_request
+
+    def counting(req):
+        calls.append(req.get("op"))
+        return real(req)
+
+    monkeypatch.setattr(worker_mod, "handle_request", counting)
+    policy = RetryPolicy(retries=3, base_ms=1.0,
+                         retry_types=protocol.PROGRAM_ERRORS)
+    with _client(daemon, retry=policy) as client:
+        for source, ref, err_type in [
+                ("void main() { this is not mini-C }", [1], "source-error"),
+                (SRC, [], "runtime-error")]:
+            calls.clear()
+            with pytest.raises(ServiceError) as exc:
+                client.run_source(source, config="base", ref=ref)
+            assert exc.value.type == err_type
+            assert calls == ["run"]
+
+
+def test_removed_trace_modifier_is_a_bad_request(daemon):
+    with _client(daemon) as client:
+        with pytest.raises(ServiceError) as exc:
+            client.run_source(SRC, config="profile+trace", train=[1],
+                              ref=[5])
+        assert exc.value.type == "bad-request"
+        assert "'trace'" in exc.value.message
 
 
 # ---------------------------------------------------------------------------

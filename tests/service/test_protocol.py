@@ -143,8 +143,14 @@ class TestRegistry:
         assert config.scheduler == "superblock"
         assert config.use_edge_profile is False
 
+    def test_engine_modifiers(self):
+        assert resolve_config("profile").engine == "predecode"
+        assert resolve_config("profile+classic").engine == "classic"
+        assert resolve_config("profile+classic+predecode").engine \
+            == "predecode"
+
     @pytest.mark.parametrize("bad", ["", "+", "nonsense",
-                                     "profile+nonsense"])
+                                     "profile+nonsense", "profile+trace"])
     def test_unknown_specs_raise_value_error(self, bad):
         with pytest.raises(ValueError):
             resolve_config(bad)
