@@ -8,29 +8,32 @@ the pipeline's pass manager wraps each phase as a registered pass and
 ``optimize_function`` is the sequential façade over the same phases.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..ssa import SSAFunction
 from .config import SpecConfig
 from .dce import eliminate_dead_code
 from .engine import PREContext, SSAPRE
-from .epre import EPREStats, eliminate_redundant_exprs
 from .lftr import replace_linear_tests
 from .materialize import Materializer, run_ssapre_on_class
 from .occurrences import (ExprClass, InsertedOcc, LeftOcc, Occurrence,
                           ParentLink, PhiOcc, PhiOpnd, RealOcc,
                           collect_expr_classes, leaf_versions, lexical_key)
-from .phases import PHASES, PHASES_BY_NAME, Phase, make_context, phases_for
-from .register_promotion import PromotionStats, promote_loads
+from .phases import (PHASES, PHASES_BY_NAME, Phase, PREStats,
+                     eliminate_redundant_exprs, make_context, phases_for,
+                     promote_loads)
+
+#: both SSAPRE stages report the same statistics
+PromotionStats = EPREStats = PREStats
 
 
 @dataclass
 class OptStats:
     """Combined per-function optimization statistics."""
 
-    promotion: Optional[PromotionStats] = None
-    epre: Optional[EPREStats] = None
+    promotion: Optional[PREStats] = None
+    epre: Optional[PREStats] = None
     lftr_replacements: int = 0
     dce_removed: int = 0
 
@@ -53,9 +56,10 @@ def optimize_function(ssa: SSAFunction, config: SpecConfig,
 __all__ = [
     "EPREStats", "ExprClass", "InsertedOcc", "LeftOcc", "Materializer",
     "Occurrence", "OptStats", "PHASES", "PHASES_BY_NAME", "PREContext",
-    "ParentLink", "Phase", "PhiOcc", "PhiOpnd", "PromotionStats",
-    "RealOcc", "SSAPRE", "SpecConfig", "collect_expr_classes",
-    "eliminate_dead_code", "eliminate_redundant_exprs", "leaf_versions",
-    "lexical_key", "make_context", "optimize_function", "phases_for",
-    "promote_loads", "replace_linear_tests", "run_ssapre_on_class",
+    "PREStats", "ParentLink", "Phase", "PhiOcc", "PhiOpnd",
+    "PromotionStats", "RealOcc", "SSAPRE", "SpecConfig",
+    "collect_expr_classes", "eliminate_dead_code",
+    "eliminate_redundant_exprs", "leaf_versions", "lexical_key",
+    "make_context", "optimize_function", "phases_for", "promote_loads",
+    "replace_linear_tests", "run_ssapre_on_class",
 ]

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 from ..ssa.spec import DEFAULT_STATIC_THRESHOLD, SpecMode
 

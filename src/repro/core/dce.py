@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from ..ir import StorageKind, Symbol
-from ..ssa import (Chi, SAssign, SCall, SLoad, SPhi, SSAFunction, SSAVar,
-                   SStmt, SVarUse)
+from ..ssa import (SAssign, SCall, SLoad, SPhi, SSAFunction, SSAVar, SStmt,
+                   SVarUse)
 
 
 class _Marker:
@@ -119,7 +119,6 @@ class _Marker:
     @staticmethod
     def _has_side_effect(stmt: SStmt) -> bool:
         from ..ssa import SPrint, SStore
-        from ..ssa.construct import is_memory_resident
 
         if isinstance(stmt, SAssign):
             if stmt.chis:
@@ -128,7 +127,7 @@ class _Marker:
             # through memory (calls, pointers): never dead.
             lhs = stmt.lhs
             symbol = lhs.symbol if isinstance(lhs, SSAVar) else lhs
-            return is_memory_resident(symbol)
+            return symbol.is_memory_resident
         if isinstance(stmt, SPhi):
             return False
         return isinstance(stmt, (SStore, SCall, SPrint))

@@ -30,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..ir import StorageKind, Symbol
-from ..ssa import (Chi, SAssign, SBin, SCall, SConst, SLoad, SPhi, SReturn,
-                   SSABlock, SSAFunction, SSAVar, SStore, SUn, SVarUse)
-from .occurrences import (ExprClass, InsertedOcc, LeftOcc, Occurrence,
-                          PhiOcc, PhiOpnd, RealOcc, leaf_versions)
+from ..ir import Symbol
+from ..ssa import (Chi, SAssign, SBin, SCall, SConst, SExpr, SPhi, SReturn,
+                   SSABlock, SSAFunction, SSAVar, SVarUse)
+from .occurrences import (ExprClass, LeftOcc, Occurrence, PhiOcc, RealOcc,
+                          leaf_versions)
 
 
 @dataclass
@@ -111,10 +111,6 @@ class PREContext:
         self._version_at_cache.clear()
 
 
-def _is_pre_temp(symbol: Symbol) -> bool:
-    return symbol.kind is StorageKind.TEMP and symbol.name.startswith("pre")
-
-
 @dataclass
 class ChaseResult:
     ok: bool
@@ -146,15 +142,11 @@ class SSAPRE:
         self.leaf_symbols: List[Symbol] = sorted(
             leaf_versions(ec.template), key=lambda s: s.uid
         ) if ec.template is not None else []
-        #: strength reduction applies only to iv * const templates; only
-        #: the induction operand may be matched through injuring defs
-        self._sr_iv: Optional[Symbol] = None
-        t = ec.template
-        if (ctx.repair_injuries and isinstance(t, SBin) and t.op == "*"):
-            if isinstance(t.left, SVarUse) and isinstance(t.right, SConst):
-                self._sr_iv = t.left.symbol
-            elif isinstance(t.right, SVarUse) and isinstance(t.left, SConst):
-                self._sr_iv = t.right.symbol
+        #: ``(iv, stride)`` in strength-reduction mode for ``iv * const``
+        #: templates; only the induction operand may be matched through
+        #: injuring defs
+        self.sr: Optional[Tuple[Symbol, object]] = (
+            sr_template(ec.template) if ctx.repair_injuries else None)
         self._occs_by_block: Dict[SSABlock, List[Occurrence]] = {}
         for occ in ec.real_occs:
             self._occs_by_block.setdefault(occ.block, []).append(occ)
@@ -392,11 +384,11 @@ class SSAPRE:
                 v = site.check_source
                 speculative = True
                 continue
-            if self._sr_iv is symbol and symbol is not None:
-                delta = _injury_delta(site, symbol)
-                if delta is not None:
+            if self.sr is not None and self.sr[0] is symbol:
+                hurt = injury(site, symbol)
+                if hurt is not None:
                     injuries.append(site)
-                    v = _injury_source(site)
+                    v = hurt[1]
                     continue
             return ChaseResult(False)
         return ChaseResult(False)  # pragma: no cover
@@ -421,6 +413,13 @@ class SSAPRE:
                     if isinstance(d, PhiOcc) and not d.used:
                         d.used = True
                         changed = True
+        # An operand with no computable versions on its edge (a leaf
+        # variable has no value there) is ⊥, so it needs an insertion that
+        # cannot be built: its Φ cannot be made available.
+        for phi in phis:
+            if phi.can_be_avail and any(op.versions is None
+                                        for op in phi.operands):
+                self._reset_can_be_avail(phi)
         # CanBeAvail with the control-speculation escape.
         for phi in phis:
             if not phi.can_be_avail:
@@ -503,37 +502,34 @@ class SSAPRE:
         )
 
 
-# ---- strength-reduction injury recognition --------------------------------
+# ---- strength-reduction recognition ---------------------------------------
 
 
-def _injury_delta(site: object, symbol: Symbol) -> Optional[SExprDelta]:
-    """If ``site`` is an injuring def ``s = s' ± const`` of ``symbol``,
-    return its delta; else None."""
-    if not isinstance(site, SAssign) or not isinstance(site.lhs, SSAVar):
-        return None
-    if site.lhs.symbol is not symbol:
-        return None
-    rhs = site.rhs
-    if isinstance(rhs, SBin) and rhs.op in ("+", "-"):
-        if (isinstance(rhs.left, SVarUse) and rhs.left.symbol is symbol
-                and isinstance(rhs.right, SConst)):
-            value = rhs.right.value
-            return -value if rhs.op == "-" else value
-        if (rhs.op == "+" and isinstance(rhs.right, SVarUse)
-                and rhs.right.symbol is symbol
-                and isinstance(rhs.left, SConst)):
-            return rhs.left.value
+def sr_template(t: Optional[SExpr]) -> Optional[Tuple[Symbol, object]]:
+    """``(iv, stride)`` if ``t`` is a strength-reduction candidate
+    ``iv * const`` (either operand order); else None."""
+    if isinstance(t, SBin) and t.op == "*":
+        if isinstance(t.left, SVarUse) and isinstance(t.right, SConst):
+            return t.left.symbol, t.right.value
+        if isinstance(t.right, SVarUse) and isinstance(t.left, SConst):
+            return t.right.symbol, t.left.value
     return None
 
 
-def _injury_source(site: SAssign) -> SSAVar:
+def injury(site: object, iv: Symbol) -> Optional[Tuple[object, SSAVar]]:
+    """If ``site`` is an injuring def ``iv = iv ± const`` (or
+    ``iv = const + iv``), return ``(delta, source version)``; else None."""
+    if not isinstance(site, SAssign) or not isinstance(site.lhs, SSAVar) \
+            or site.lhs.symbol is not iv:
+        return None
     rhs = site.rhs
-    assert isinstance(rhs, SBin)
-    if isinstance(rhs.left, SVarUse) and rhs.left.var is not None \
-            and rhs.left.symbol is site.lhs.symbol:
-        return rhs.left.var
-    assert isinstance(rhs.right, SVarUse) and rhs.right.var is not None
-    return rhs.right.var
-
-
-SExprDelta = float
+    if not isinstance(rhs, SBin) or rhs.op not in ("+", "-"):
+        return None
+    if (isinstance(rhs.left, SVarUse) and rhs.left.symbol is iv
+            and isinstance(rhs.right, SConst)):
+        value = rhs.right.value
+        return (-value if rhs.op == "-" else value), rhs.left.var
+    if (rhs.op == "+" and isinstance(rhs.right, SVarUse)
+            and rhs.right.symbol is iv and isinstance(rhs.left, SConst)):
+        return rhs.left.value, rhs.right.var
+    return None

@@ -19,11 +19,11 @@ Guards (all must hold, keeping the transformation conservative):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..ir import Symbol
 from ..ssa import (SAssign, SBin, SCall, SCondBr, SConst, SSABlock,
-                   SSAFunction, SSAVar, SVarUse)
+                   SSAFunction, SVarUse)
 from .engine import PREContext
 
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
@@ -52,23 +52,6 @@ def _iv_is_linear_in_loop(ssa: SSAFunction, loop, symbol: Symbol) -> bool:
                 if chi.symbol is symbol:
                     return False
     return True
-
-
-def _live_temp_version(header: SSABlock, temp: Symbol) -> Optional[SSAVar]:
-    """The SSA version of ``temp`` live at the header's terminator: its
-    φ def, updated by any later def inside the header block."""
-    var: Optional[SSAVar] = None
-    for phi in header.phis:
-        if phi.lhs is not None and phi.lhs.symbol is temp:
-            var = phi.lhs
-    for stmt in header.stmts:
-        if isinstance(stmt, SAssign) and isinstance(stmt.lhs, SSAVar) \
-                and stmt.lhs.symbol is temp:
-            var = stmt.lhs
-        elif isinstance(stmt, SCall) and isinstance(stmt.dst, SSAVar) \
-                and stmt.dst.symbol is temp:
-            var = stmt.dst
-    return var
 
 
 def replace_linear_tests(ctx: PREContext) -> int:
@@ -110,9 +93,9 @@ def replace_linear_tests(ctx: PREContext) -> int:
             continue  # t == i*stride not guaranteed at this test
         if not _iv_is_linear_in_loop(ssa, loop, iv_use.symbol):
             continue
-        t_var = _live_temp_version(header, temp)
-        if t_var is None:
-            continue  # no version of t reaches the test
+        # the header holds the temp's Φ, so this is the version live at
+        # the test (the Φ, or a later def inside the header)
+        t_var = ctx.version_at_end(header, temp)
         new_bound = _make_bound(ctx, loop, header, bound, stride, temp)
         if new_bound is None:
             continue

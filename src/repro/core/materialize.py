@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..ir import Symbol, Type, make_temp
 from ..ssa import (Mu, SAssign, SBin, SConst, SExpr, SLoad, SPhi, SSABlock,
                    SSAFunction, SSAVar, SUn, SVarUse)
-from .engine import PREContext, SSAPRE
+from .engine import PREContext, SSAPRE, injury
 from .occurrences import (ExprClass, InsertedOcc, LeftOcc, PhiOcc, PhiOpnd,
                           RealOcc)
 
@@ -128,9 +128,6 @@ class Materializer:
                     # recompute instead.
                     needs_insert = True
             if needs_insert:
-                if opnd.versions is None:
-                    continue  # no versions computable; leave ⊥ (path
-                    # cannot use the Φ value — occurs only on dead paths)
                 ins = InsertedOcc(block)
                 ins.versions = dict(opnd.versions)
                 ins.cls = succ_phi.cls
@@ -266,8 +263,7 @@ class Materializer:
             sphi.lhs = phi.temp_var
             phi.temp_var.def_site = sphi
             for i, opnd in enumerate(phi.operands):
-                d = opnd.def_occ
-                sphi.args[i] = getattr(d, "temp_var", None) or phi.temp_var
+                sphi.args[i] = opnd.def_occ.temp_var
             phi.block.phis.append(sphi)
 
     # ---- reloads and checks ------------------------------------------------
@@ -293,13 +289,7 @@ class Materializer:
             if not occ.reload:
                 continue
             d = occ.avail_def
-            dv = getattr(d, "temp_var", None)
-            if dv is None:
-                # def never materialized (e.g. left occurrence without a
-                # temp) — keep the original computation.
-                occ.reload = False
-                occ.save = True
-                continue
+            dv = d.temp_var
             self.reloads += 1
             needs_check = (occ.speculative or self._def_speculative(d)) \
                 and self.ctx.emit_checks
@@ -346,23 +336,13 @@ class Materializer:
 
     # ---- strength-reduction repairs -----------------------------------
     def _materialize_injuries(self) -> None:
-        if not self.ctx.repair_injuries or self._temp is None:
+        if self.pre.sr is None or self._temp is None:
             return
-        stride = self._stride_of_template()
-        if stride is None:
-            return
-        iv_symbol = self._iv_of_template()
-        if iv_symbol is not None:
-            phi_blocks = {p.block for p in self.ec.phis.values()
-                          if p.will_be_avail}
-            self.ctx.sr_records.append(
-                (iv_symbol, stride, self._temp, phi_blocks)
-            )
+        iv, stride = self.pre.sr
+        phi_blocks = {p.block for p in self.ec.phis.values()
+                      if p.will_be_avail}
+        self.ctx.sr_records.append((iv, stride, self._temp, phi_blocks))
         repaired: Set[int] = set()
-        anchor = next(
-            (o.temp_var for o in self.ec.real_occs if o.temp_var is not None),
-            None,
-        )
         injury_sites: List[Tuple[object, Optional[int]]] = []
         for occ in self.ec.real_occs:
             injury_sites.extend((site, occ.cls) for site in occ.injuries)
@@ -376,9 +356,7 @@ class Materializer:
             if id(site) in repaired:
                 continue
             repaired.add(id(site))
-            delta = _injury_delta_value(site)
-            if delta is None:
-                continue
+            delta = injury(site, iv)[0]
             var = self._new_temp_var(cls)
             block = site.block
             var.def_block = block
@@ -386,8 +364,7 @@ class Materializer:
             # nearest dominating def); out-of-SSA collapses every version
             # onto the shared symbol, so the version only has to satisfy
             # the SSA verifier's dominance check
-            use_var = self._temp_version_at(site) or anchor
-            use = SVarUse(self._temp, use_var)
+            use = SVarUse(self._temp, self._temp_version_at(site))
             repair = SAssign(
                 var, SBin("+", use, SConst(delta * stride, self._temp.ty))
             )
@@ -415,24 +392,6 @@ class Materializer:
                 return None
             block = self.ssa.block_of(parent)
             idx = len(block.stmts)
-
-    def _stride_of_template(self):
-        t = self.ec.template
-        if isinstance(t, SBin) and t.op == "*":
-            if isinstance(t.right, SConst):
-                return t.right.value
-            if isinstance(t.left, SConst):
-                return t.left.value
-        return None
-
-    def _iv_of_template(self):
-        t = self.ec.template
-        if isinstance(t, SBin) and t.op == "*":
-            if isinstance(t.left, SVarUse) and isinstance(t.right, SConst):
-                return t.left.symbol
-            if isinstance(t.right, SVarUse) and isinstance(t.left, SConst):
-                return t.right.symbol
-        return None
 
     # ---- expression cloning ------------------------------------------------
     def _clone_leaf(self, expr: SExpr) -> SExpr:
@@ -475,24 +434,12 @@ class Materializer:
 
     @staticmethod
     def _contains_load(expr: SExpr) -> bool:
-        from ..ssa.construct import is_memory_resident
-
         for node in expr.walk():
             if isinstance(node, SLoad):
                 return True
-            if isinstance(node, SVarUse) and is_memory_resident(node.symbol):
+            if isinstance(node, SVarUse) and node.symbol.is_memory_resident:
                 return True
         return False
-
-
-def _injury_delta_value(site: SAssign):
-    rhs = site.rhs
-    if isinstance(rhs, SBin) and rhs.op in ("+", "-"):
-        if isinstance(rhs.right, SConst):
-            return -rhs.right.value if rhs.op == "-" else rhs.right.value
-        if rhs.op == "+" and isinstance(rhs.left, SConst):
-            return rhs.left.value
-    return None
 
 
 def run_ssapre_on_class(ctx: PREContext, ec: ExprClass,

@@ -21,13 +21,12 @@ the signature Rename compares, speculatively skipping weak updates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional
 
 from ..ir import Symbol
 from ..ssa import (SAddrOf, SAssign, SBin, SCall, SCondBr, SConst, SExpr,
-                   SJump, SLoad, SPrint, SReturn, SSABlock, SSAFunction,
-                   SSAVar, SStmt, SStore, SUn, SVarUse)
-from ..ssa.construct import is_memory_resident
+                   SLoad, SPrint, SReturn, SSABlock, SSAFunction, SSAVar,
+                   SStore, SUn, SVarUse)
 
 
 def lexical_key(expr: SExpr) -> Optional[tuple]:
@@ -225,12 +224,8 @@ class ExprClass:
         """Register-promotion candidates: direct reads of memory-resident
         scalars and indirect loads."""
         return self.key[0] == "load" or (
-            self.key[0] == "var" and self._template_memory_resident()
-        )
-
-    def _template_memory_resident(self) -> bool:
-        return isinstance(self.template, SVarUse) and is_memory_resident(
-            self.template.symbol
+            self.key[0] == "var" and isinstance(self.template, SVarUse)
+            and self.template.symbol.is_memory_resident
         )
 
 
@@ -244,7 +239,7 @@ def _is_simple_leaf(expr: SExpr) -> bool:
     if isinstance(expr, (SConst, SAddrOf)):
         return True
     if isinstance(expr, SVarUse):
-        return not is_memory_resident(expr.symbol)
+        return not expr.symbol.is_memory_resident
     return False
 
 
@@ -253,7 +248,7 @@ def _candidate_filter_load(node: SExpr) -> bool:
     a simple leaf or an arithmetic tree over simple leaves (no nested
     loads — those are promoted in an earlier round)."""
     if isinstance(node, SVarUse):
-        return is_memory_resident(node.symbol)
+        return node.symbol.is_memory_resident
     if isinstance(node, SLoad):
         return all(
             _is_simple_leaf(n) or isinstance(n, (SBin, SUn))

@@ -8,7 +8,9 @@ phase is one :class:`Phase` record — a name, a gate deciding whether a
 the shared :class:`~repro.core.engine.PREContext`.  The pipeline's pass
 manager (:mod:`repro.pipeline.passes`) builds one entry of its pass
 table from every phase; ``optimize_function`` itself is a thin loop
-over :func:`phases_for`.
+over :func:`phases_for`.  Register promotion and expression PRE are
+the same SSAPRE round loop over different expression classes
+(:func:`promote_loads`, :func:`eliminate_redundant_exprs`).
 
 All phases of one function share **one** ``PREContext`` — strength
 reduction's injury records feed LFTR through ``ctx.sr_records``, and
@@ -26,17 +28,83 @@ and expression PRE.  Its phase therefore runs first and merely arms
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import Callable, List, TYPE_CHECKING
 
 from .config import SpecConfig
 from .dce import eliminate_dead_code
 from .engine import PREContext
-from .epre import eliminate_redundant_exprs
 from .lftr import replace_linear_tests
-from .register_promotion import promote_loads
+from .materialize import run_ssapre_on_class
+from .occurrences import collect_expr_classes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from . import OptStats
+
+
+@dataclass
+class PREStats:
+    """What one SSAPRE stage (register promotion or expression PRE) did
+    to one function."""
+
+    classes: int = 0
+    reloads: int = 0
+    checks: int = 0
+    insertions: int = 0
+    speculated_phis: int = 0
+    rounds: int = 0
+
+
+def _pre_rounds(ctx: PREContext, kind: str, max_rounds: int,
+                include_stores: bool,
+                allow_data_speculation: bool) -> PREStats:
+    """Run SSAPRE over every ``kind`` class, in rounds to a fixpoint
+    (bounded by ``max_rounds``).  Rounds iterate bottom-up: once an inner
+    expression is promoted to a temporary, enclosing expressions that
+    mention it become first-order candidates in the next round (the
+    paper's ``A[Anext][0][0]`` chains)."""
+    stats = PREStats()
+    speculated_before = ctx.speculated_phis
+    for _ in range(max_rounds):
+        progressed = False
+        for ec in collect_expr_classes(ctx.ssa, kind,
+                                       include_stores=include_stores):
+            mat = run_ssapre_on_class(ctx, ec, allow_data_speculation)
+            stats.classes += 1
+            stats.reloads += mat.reloads
+            stats.checks += mat.checks_emitted
+            stats.insertions += mat.insertions
+            progressed |= bool(mat.reloads or mat.insertions)
+        stats.rounds += 1
+        if not progressed:
+            break
+    stats.speculated_phis = ctx.speculated_phis - speculated_before
+    return stats
+
+
+def promote_loads(ctx: PREContext, max_rounds: int = 4,
+                  store_forwarding: bool = True,
+                  allow_data_speculation: bool = True) -> PREStats:
+    """Speculative register promotion — PRE applied to loads (paper §5).
+
+    Load classes are direct reads of memory-resident scalars and
+    indirect loads; with ``store_forwarding`` stores of the same shape
+    are left occurrences that define the value.  Data speculation is
+    driven entirely by the ``likely`` flags on χ/µ: with no-speculation
+    flags the same code performs classical (safe) load PRE."""
+    return _pre_rounds(ctx, "load", max_rounds, store_forwarding,
+                       allow_data_speculation)
+
+
+def eliminate_redundant_exprs(ctx: PREContext,
+                              max_rounds: int = 4) -> PREStats:
+    """Expression PRE (and, with ``ctx.repair_injuries``, strength
+    reduction per Kennedy et al. [20]) over arithmetic operations.
+
+    After register promotion, memory reads are temporaries, so operands
+    are register values: data speculation does not apply (nothing for
+    the ALAT to check); control speculation still does."""
+    return _pre_rounds(ctx, "arith", max_rounds, include_stores=False,
+                       allow_data_speculation=False)
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,6 @@ class BasicBlock:
     def append(self, stmt: Stmt) -> None:
         self.stmts.append(stmt)
 
-    @property
-    def is_terminated(self) -> bool:
-        return self.terminator is not None
-
     def successors(self) -> Tuple["BasicBlock", ...]:
         if self.terminator is None:
             return ()

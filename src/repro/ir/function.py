@@ -53,9 +53,6 @@ class Function:
     def rpo(self) -> List[BasicBlock]:
         return reverse_postorder(self.entry)
 
-    def all_symbols(self) -> List[Symbol]:
-        return list(self.params) + list(self.locals)
-
     def statements(self) -> Iterator[Tuple[BasicBlock, Stmt]]:
         """Iterate ``(block, stmt)`` pairs over all non-terminator
         statements."""

@@ -71,10 +71,11 @@ class Symbol:
         return self.kind is StorageKind.VIRTUAL
 
     @property
-    def is_register_candidate(self) -> bool:
-        """Whether the value can legally live in a register for its whole
-        lifetime (never reachable through memory)."""
-        return not self.address_taken and not self.is_virtual
+    def is_memory_resident(self) -> bool:
+        """Direct reads/writes are memory accesses (loads/stores in the
+        generated code): globals and address-taken locals."""
+        return (self.kind is StorageKind.GLOBAL or self.address_taken) \
+            and not self.is_virtual and not self.is_array
 
     def __repr__(self) -> str:
         return f"Symbol({self.name}:{self.ty}, {self.kind.value})"

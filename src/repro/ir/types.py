@@ -50,11 +50,6 @@ class Type:
     def is_pointer(self) -> bool:
         return self.kind == "ptr"
 
-    @property
-    def is_scalar(self) -> bool:
-        """True for every IR type (all values fit in one memory cell)."""
-        return True
-
     def deref(self) -> "Type":
         """The type obtained by loading through this pointer."""
         if not self.is_pointer:

@@ -250,17 +250,6 @@ class Interpreter:
             return loc, addr - start
         return None
 
-    def _read_mem(self, addr: int) -> Value:
-        try:
-            return self.memory[addr]
-        except KeyError:
-            raise InterpError(f"load from unallocated address {addr}") from None
-
-    def _write_mem(self, addr: int, value: Value) -> None:
-        if addr not in self.memory:
-            raise InterpError(f"store to unallocated address {addr}")
-        self.memory[addr] = value
-
     def _next_input(self) -> Value:
         if self._input_pos >= len(self.inputs):
             raise InterpError("input stream exhausted")
@@ -698,12 +687,6 @@ class Interpreter:
                     f"{frame.fn.name}: address of register symbol "
                     f"{sym.name}") from None
         return addr_l
-
-    @staticmethod
-    def _coerce(value: Value, ty) -> Value:
-        if ty.is_float:
-            return float(value)
-        return value
 
     @staticmethod
     def _format(value: Value) -> str:

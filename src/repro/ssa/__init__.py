@@ -1,6 +1,6 @@
 """The paper's speculative SSA form: HSSA with likeliness-flagged µ/χ."""
 
-from .construct import SSABuilder, build_ssa, is_memory_resident
+from .construct import SSABuilder, build_ssa
 from .out_of_ssa import lower_expr, lower_function, lower_module
 from .printer import format_ssa
 from .refine import FlowSensitivePointsTo, refine_module
@@ -22,7 +22,7 @@ __all__ = [
     "SSAVerificationError", "SStmt", "SStore", "STerm", "SUn", "SVarUse",
     "FlowSensitivePointsTo", "SpecMode", "aggressive_flagger",
     "build_ssa", "flag_snapshot", "flagger_for", "refine_module",
-    "format_ssa", "heuristic_flagger", "is_memory_resident", "iter_loads",
+    "format_ssa", "heuristic_flagger", "iter_loads",
     "lower_expr", "lower_function", "lower_module", "make_profile_flagger",
     "make_static_flagger", "no_spec_flagger", "ssa_counts",
     "verify_ssa",

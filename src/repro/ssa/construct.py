@@ -26,17 +26,10 @@ from ..analysis.aliasclass import AliasClassifier, FunctionAliasInfo
 from ..analysis.tbaa import tbaa_compatible
 from ..ir import (AddrOf, Assign, BasicBlock, Bin, CallStmt, CondBr, Const,
                   Expr, Function, Jump, Load, Module, PrintStmt, Return,
-                  StorageKind, Store, Symbol, Un, VarRead)
+                  Store, Symbol, Un, VarRead)
 from .values import (Chi, Mu, SAddrOf, SAssign, SBin, SCall, SCondBr, SConst,
                      SExpr, SJump, SLoad, SPhi, SPrint, SReturn, SSABlock,
                      SSAFunction, SSAVar, SStmt, SStore, SUn, SVarUse)
-
-
-def is_memory_resident(sym: Symbol) -> bool:
-    """Symbols whose direct reads/writes are memory accesses (loads/stores
-    in the generated code): globals and address-taken locals."""
-    return (sym.kind is StorageKind.GLOBAL or sym.address_taken) \
-        and not sym.is_virtual and not sym.is_array
 
 
 class SSABuilder:

@@ -383,10 +383,7 @@ def _vvar_site_sublocs(ssa: SSAFunction,
 
 
 def _visible_memory_symbols(ssa: SSAFunction) -> Set[Symbol]:
-    from .construct import is_memory_resident
-
     fn = ssa.fn
-    module_globals = []
     # Globals are discoverable through the symbols already in µ/χ lists and
     # the function's own scope; collect conservatively from both.
     syms = set(fn.params) | set(fn.locals)
@@ -396,4 +393,4 @@ def _visible_memory_symbols(ssa: SSAFunction) -> Set[Symbol]:
                 syms.add(chi.symbol)
             for mu in stmt.mus:
                 syms.add(mu.symbol)
-    return {s for s in syms if is_memory_resident(s)}
+    return {s for s in syms if s.is_memory_resident}

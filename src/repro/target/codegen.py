@@ -38,17 +38,11 @@ from typing import Dict, List, Optional
 
 from ..ir import (AddrOf, Assign, BasicBlock, Bin, CallStmt, CondBr, Const,
                   Expr, Function, Jump, Load, Module, PrintStmt, Return,
-                  StorageKind, Store, Symbol, Un, VarRead)
+                  Store, Symbol, Un, VarRead)
 from .isa import (BIN_OP_NAMES, LOAD_OPS, UN_OP_NAMES, MBlock, MFunction,
                   MInstr, MProgram)
 
 _SPEC_LOAD_OP = {"advance": "ld.a", "check": "ld.c", "sload": "ld.s"}
-
-
-def _is_memory_resident(sym: Symbol) -> bool:
-    """Direct reads/writes of these symbols are memory accesses."""
-    return (sym.kind is StorageKind.GLOBAL or sym.address_taken) \
-        and not sym.is_virtual and not sym.is_array
 
 
 class _FunctionCodegen:
@@ -144,7 +138,7 @@ class _FunctionCodegen:
                 instr = out.append(MInstr("lea", dest if dest is not None
                                           else self._fresh_reg(), sym=sym))
                 return instr.dest
-            if _is_memory_resident(sym):
+            if sym.is_memory_resident:
                 return self._emit_scalar_load(
                     out, sym, "ld.s" if nonfaulting else "ld", dest)
             reg = self.reg_of(sym)
@@ -192,7 +186,7 @@ class _FunctionCodegen:
     # ---- statements -----------------------------------------------------
     def _assign_to(self, out: MBlock, sym: Symbol, value_reg: int) -> None:
         """Store ``value_reg`` into ``sym``'s home (register or memory)."""
-        if _is_memory_resident(sym):
+        if sym.is_memory_resident:
             addr = out.append(MInstr("lea", self._fresh_reg(), sym=sym))
             out.append(MInstr("st", srcs=(addr.dest, value_reg),
                               fp=sym.ty.is_float))
@@ -203,7 +197,7 @@ class _FunctionCodegen:
         """Lower one assign; returns the block subsequent code goes
         into (a new continuation when the assign grew a ``chk.s``)."""
         sym, value, kind = stmt.sym, stmt.value, stmt.spec_kind
-        if kind in _SPEC_LOAD_OP and not _is_memory_resident(sym):
+        if kind in _SPEC_LOAD_OP and not sym.is_memory_resident:
             op = _SPEC_LOAD_OP[kind]
             start = len(out.instrs)
             compound = False
@@ -212,7 +206,7 @@ class _FunctionCodegen:
                 out.append(MInstr(op, self.reg_of(sym), (addr,),
                                   fp=value.value_ty.is_float))
             elif isinstance(value, VarRead) \
-                    and _is_memory_resident(value.sym):
+                    and value.sym.is_memory_resident:
                 self._emit_scalar_load(out, value.sym, op, self.reg_of(sym))
             else:
                 # Compound speculative template (control-speculative
@@ -224,7 +218,7 @@ class _FunctionCodegen:
             if kind == "sload" or (kind == "advance" and compound):
                 return self._emit_check(out, start, self.reg_of(sym))
             return out
-        if _is_memory_resident(sym):
+        if sym.is_memory_resident:
             reg = self._emit_expr(out, value)
             self._assign_to(out, sym, reg)
         else:
@@ -290,7 +284,7 @@ class _FunctionCodegen:
         temp = None
         if stmt.dst is not None:
             temp = (self.reg_of(stmt.dst)
-                    if not _is_memory_resident(stmt.dst)
+                    if not stmt.dst.is_memory_resident
                     else self._fresh_reg())
         if stmt.callee in ("input", "inputf"):
             # these always produce a value (a dest-less input still
@@ -306,7 +300,7 @@ class _FunctionCodegen:
         else:
             args = [self._emit_expr(out, a) for a in stmt.args]
             out.append(MInstr("call", temp, args, callee=stmt.callee))
-        if stmt.dst is not None and _is_memory_resident(stmt.dst):
+        if stmt.dst is not None and stmt.dst.is_memory_resident:
             self._assign_to(out, stmt.dst, temp)
 
 

@@ -38,6 +38,9 @@ def test_random_program_all_configs(seed):
         assert result.output == expected, (
             f"seed={seed} config={config.mode} diverged\n{source}"
         )
+        assert result.degraded == {}, (
+            f"seed={seed} config={config.mode} degraded: {result.degraded}"
+        )
 
 
 @settings(max_examples=25, deadline=None,
